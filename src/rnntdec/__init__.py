@@ -22,7 +22,7 @@ from .decoding import (
     greedy_decode,
 )
 from .embr import NBestList, RiskResult, edit_distance, embr_risk
-from .lattice import LossResult, TransducerLattice, sequence_log_prob, transducer_loss
+from .lattice import LossResult, TransducerLattice, transducer_loss
 from .mathops import layer_norm, log_softmax, logsumexp, matmul, sigmoid, swish
 from .model_io import load, load_lookup, read_archive, save, save_lookup
 from .nets import (

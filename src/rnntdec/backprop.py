@@ -202,7 +202,7 @@ def backprop_decoder(
     hidden = cache.hidden
     out_full = np.concatenate([weights.out_w, weights.blank_w[None, :]], axis=0)
     d_hidden = dlogits @ out_full  # (T, U+1, d_h)
-    d_out_full = np.einsum("tuv,tuh->vh", dlogits, hidden)
+    d_out_full = dlogits.reshape(-1, V + 1).T @ hidden.reshape(-1, cfg.d_h)
     if cfg.tied:
         grads["emb"][:V] += d_out_full[:V]
     else:

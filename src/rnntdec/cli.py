@@ -145,10 +145,10 @@ def _load_input_frames(path: str, weights):
     if not isinstance(doc, dict) or ("frames" not in doc) == ("features" not in doc):
         raise ConfigError(f"{path}: input must contain exactly one of 'frames' or 'features'")
     if "frames" in doc:
-        return np.asarray(doc["frames"], dtype=np.float64)
+        return np.asarray(doc["frames"], dtype=weights.dtype)
     if weights.enc_stub is None:
         raise ConfigError(f"{path}: model has no encoder stub; provide 'frames' instead")
-    features = np.asarray(doc["features"], dtype=np.float64)
+    features = np.asarray(doc["features"], dtype=weights.dtype)
     return toy_encode(features, weights.enc_stub)
 
 

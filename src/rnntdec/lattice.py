@@ -4,6 +4,20 @@ The lattice is the standard T x (U+1) grid: a blank emission advances the
 frame index t, a label emission advances the target index u, and every
 complete path ends with a blank at (T-1, U).  All recursions run in the log
 domain in float64.
+
+Both recursions are scanned one label column at a time.  Within column u
+the blank arcs chain the frames, so with ``B[t] = sum_{s<t} lp_blank[s, u]``
+(an exclusive cumulative sum) the recurrences have the closed forms
+
+    alpha[t, u] = B[t] + log sum_{s<=t} exp(a[s] - B[s]),
+                  a[s] = alpha[s, u-1] + lp_label[s, u-1]
+    beta[t, u]  = -B[t] + log sum_{s>=t} exp(b[s] + B[s]),
+                  b[s] = lp_label[s, u] + beta[s, u+1]
+
+where column 0 enters only at (0, 0) with log-probability 0 and column U
+leaves only through the final blank at (T-1, U).  Each sum is one
+``np.logaddexp.accumulate`` (the beta one over reversed frames), so Python
+loops over the U+1 columns only.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .mathops import log_softmax, logaddexp
+from .mathops import log_softmax
 
 NEG_INF = -np.inf
 
@@ -76,56 +90,45 @@ def transducer_loss(
 
     lp = log_softmax(logits_grid)
     blank = num_logits - 1
+    label_rows = np.arange(U)
+    labels = np.asarray(target, dtype=np.intp)
     lp_blank = lp[:, :, blank]
-    lp_label = np.empty((T, U))
-    for u, y in enumerate(target):
-        lp_label[:, u] = lp[:, u, y]
+    lp_label = lp[:, label_rows, labels]  # (T, U)
 
-    log_alpha = np.full((T, U + 1), NEG_INF)
-    log_alpha[0, 0] = 0.0
-    for t in range(T):
-        for u in range(U + 1):
-            if t == 0 and u == 0:
-                continue
-            from_blank = log_alpha[t - 1, u] + lp_blank[t - 1, u] if t > 0 else NEG_INF
-            from_label = log_alpha[t, u - 1] + lp_label[t, u - 1] if u > 0 else NEG_INF
-            log_alpha[t, u] = logaddexp(from_blank, from_label)
-    ll_alpha = log_alpha[T - 1, U] + lp_blank[T - 1, U]
+    # Blank-run log-probabilities: B[t, u] = sum_{s<t} lp_blank[s, u].
+    B = np.zeros((T, U + 1))
+    np.cumsum(lp_blank[:-1], axis=0, out=B[1:])
 
-    log_beta = np.full((T, U + 1), NEG_INF)
-    log_beta[T - 1, U] = lp_blank[T - 1, U]
-    for t in range(T - 1, -1, -1):
-        for u in range(U, -1, -1):
-            if t == T - 1 and u == U:
-                continue
-            via_blank = lp_blank[t, u] + log_beta[t + 1, u] if t < T - 1 else NEG_INF
-            via_label = lp_label[t, u] + log_beta[t, u + 1] if u < U else NEG_INF
-            log_beta[t, u] = logaddexp(via_blank, via_label)
+    log_alpha = np.empty((T, U + 1))
+    log_alpha[:, 0] = B[:, 0]
+    for u in range(1, U + 1):
+        enter = log_alpha[:, u - 1] + lp_label[:, u - 1]
+        log_alpha[:, u] = B[:, u] + np.logaddexp.accumulate(enter - B[:, u])
+    ll = log_alpha[T - 1, U] + lp_blank[T - 1, U]
 
-    ll = ll_alpha
+    log_beta = np.empty((T, U + 1))
+    leave = np.full(T, NEG_INF)
+    leave[T - 1] = lp_blank[T - 1, U]
+    for u in range(U, -1, -1):
+        if u < U:
+            leave = lp_label[:, u] + log_beta[:, u + 1]
+        scan = np.logaddexp.accumulate((leave + B[:, u])[::-1])
+        log_beta[:, u] = scan[::-1] - B[:, u]
+
     loss = -ll
 
     # Arc occupancies: posterior probability of traversing each arc.
     occ_blank = np.zeros((T, U + 1))
     if T > 1:
         occ_blank[:-1, :] = np.exp(log_alpha[:-1] + lp_blank[:-1] + log_beta[1:] - ll)
-    occ_blank[T - 1, :] = 0.0
     occ_blank[T - 1, U] = np.exp(log_alpha[T - 1, U] + lp_blank[T - 1, U] - ll)
-    occ_label = np.zeros((T, U))
-    if U > 0:
-        occ_label[:, :] = np.exp(log_alpha[:, :U] + lp_label + log_beta[:, 1:] - ll)
+    occ_label = np.exp(log_alpha[:, :U] + lp_label + log_beta[:, 1:] - ll)
 
     node_occ = occ_blank.copy()
     node_occ[:, :U] += occ_label
     dlogits = node_occ[:, :, None] * np.exp(lp)
     dlogits[:, :, blank] -= occ_blank
-    for u, y in enumerate(target):
-        dlogits[:, u, y] -= occ_label[:, u]
+    dlogits[:, label_rows, labels] -= occ_label
 
     lattice = TransducerLattice(T, U, log_alpha, log_beta, lp_blank, lp_label, ll)
     return LossResult(loss, dlogits, lattice)
-
-
-def sequence_log_prob(logits_grid: np.ndarray, target) -> float:
-    """log P(target) marginalized over alignments: -transducer_loss."""
-    return -transducer_loss(logits_grid, target).loss

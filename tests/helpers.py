@@ -82,6 +82,61 @@ def enumerate_alignment_ll(log_probs: np.ndarray, target) -> float:
     return m + np.log(sum(np.exp(p - m) for p in paths))
 
 
+def naive_lattice(log_probs: np.ndarray, target):
+    """Cell-by-cell alpha/beta recursions and the logits gradient from them.
+
+    ``log_probs`` is the already-normalized (T, U+1, V+1) grid.  Returns
+    (log_alpha, log_beta, dlogits), each filled one scalar at a time.
+    """
+    T, _, num_logits = log_probs.shape
+    U = len(target)
+    blank = num_logits - 1
+    lp_blank = log_probs[:, :, blank]
+
+    def lp_label(t, u):
+        return log_probs[t, u, target[u]]
+
+    log_alpha = np.full((T, U + 1), -np.inf)
+    log_alpha[0, 0] = 0.0
+    for t in range(T):
+        for u in range(U + 1):
+            if t == 0 and u == 0:
+                continue
+            from_blank = log_alpha[t - 1, u] + lp_blank[t - 1, u] if t > 0 else -np.inf
+            from_label = log_alpha[t, u - 1] + lp_label(t, u - 1) if u > 0 else -np.inf
+            log_alpha[t, u] = np.logaddexp(from_blank, from_label)
+
+    log_beta = np.full((T, U + 1), -np.inf)
+    log_beta[T - 1, U] = lp_blank[T - 1, U]
+    for t in range(T - 1, -1, -1):
+        for u in range(U, -1, -1):
+            if t == T - 1 and u == U:
+                continue
+            via_blank = lp_blank[t, u] + log_beta[t + 1, u] if t < T - 1 else -np.inf
+            via_label = lp_label(t, u) + log_beta[t, u + 1] if u < U else -np.inf
+            log_beta[t, u] = np.logaddexp(via_blank, via_label)
+
+    ll = log_alpha[T - 1, U] + lp_blank[T - 1, U]
+    dlogits = np.zeros_like(log_probs)
+    for t in range(T):
+        for u in range(U + 1):
+            if t < T - 1:
+                occ_blank = np.exp(log_alpha[t, u] + lp_blank[t, u] + log_beta[t + 1, u] - ll)
+            elif u == U:
+                occ_blank = np.exp(log_alpha[t, u] + lp_blank[t, u] - ll)
+            else:
+                occ_blank = 0.0
+            occ_label = 0.0
+            if u < U:
+                occ_label = np.exp(log_alpha[t, u] + lp_label(t, u) + log_beta[t, u + 1] - ll)
+            for k in range(num_logits):
+                dlogits[t, u, k] = (occ_blank + occ_label) * np.exp(log_probs[t, u, k])
+            dlogits[t, u, blank] -= occ_blank
+            if u < U:
+                dlogits[t, u, target[u]] -= occ_label
+    return log_alpha, log_beta, dlogits
+
+
 def enumerate_decode_paths(frames, weights, config) -> dict[tuple[int, ...], float]:
     """All capped decode paths, grouped by emitted label sequence.
 

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from rnntdec import save
-from rnntdec.cli import main
+from rnntdec import greedy_decode, init_weights, load, save, toy_encode
+from rnntdec.cli import _load_input_frames, main
+from rnntdec.weights import init_encoder_stub
 
 from helpers import all_blank_model, tiny_config
 
@@ -145,6 +146,44 @@ class TestPipeline:
         cfg = write(tmp_path, "diverge.json", doc)
         assert main(["train", cfg, str(tmp_path / "m.rnnt")]) == 5
         assert capsys.readouterr().err.startswith("error[divergence]")
+
+
+class TestDecodeInputDtype:
+    """Decode inputs take the model's dtype, so f4 models stay in f4."""
+
+    @staticmethod
+    def model_and_inputs(tmp_path, dtype):
+        cfg = tiny_config(vocab_size=3, d_e=4, d_h=4, d_enc=4)
+        w = init_weights(cfg, seed=1, dtype=dtype)
+        w.enc_stub = init_encoder_stub(3, cfg.d_enc, seed=1, dtype=dtype)
+        model = str(tmp_path / "m.rnnt")
+        save(w, cfg, model)
+        rng = np.random.default_rng(0)
+        frames = rng.normal(size=(6, 4)).tolist()
+        features = rng.normal(size=(6, 3)).tolist()
+        return model, frames, features
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_frames_and_features_follow_model_dtype(self, tmp_path, dtype):
+        model, frames, features = self.model_and_inputs(tmp_path, dtype)
+        weights, _ = load(model)
+        for key, rows in (("frames", frames), ("features", features)):
+            inp = write(tmp_path, f"{key}.json", {key: rows})
+            assert _load_input_frames(inp, weights).dtype == dtype
+
+    def test_f8_decode_output_unchanged(self, tmp_path, capsys):
+        model, frames, features = self.model_and_inputs(tmp_path, np.float64)
+        weights, cfg = load(model)
+        expected = [
+            greedy_decode(np.asarray(frames, dtype=np.float64), weights, cfg),
+            greedy_decode(toy_encode(np.asarray(features, dtype=np.float64),
+                                     weights.enc_stub), weights, cfg),
+        ]
+        for key, rows, want in zip(("frames", "features"), (frames, features), expected):
+            inp = write(tmp_path, f"{key}.json", {key: rows})
+            assert main(["decode", model, inp, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc == {"labels": want.labels, "log_prob": want.log_prob}
 
 
 class TestBench:

@@ -5,7 +5,7 @@ from rnntdec import SeededRng, transducer_loss
 from rnntdec.errors import DomainError, ShapeError
 from rnntdec.mathops import log_softmax
 
-from helpers import enumerate_alignment_ll
+from helpers import enumerate_alignment_ll, naive_lattice
 
 
 def test_single_blank_path():
@@ -106,3 +106,33 @@ def test_shape_errors():
         transducer_loss(np.zeros((2, 3, 3)), [0])
     with pytest.raises(DomainError):
         transducer_loss(np.zeros((2, 2, 3)), [5])
+
+
+def assert_matches_naive_lattice(logits, target):
+    res = transducer_loss(logits, target)
+    alpha, beta, dlogits = naive_lattice(log_softmax(logits), target)
+    np.testing.assert_allclose(res.lattice.log_alpha, alpha, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.lattice.log_beta, beta, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(res.dlogits, dlogits, rtol=0, atol=1e-9)
+
+
+def test_column_scan_matches_naive_lattice():
+    rng = SeededRng(8)
+    sizes = np.random.default_rng(2)
+    shapes = [(1, 0), (1, 1), (1, 4), (2, 5), (3, 0), (5, 9)]
+    shapes += [(int(sizes.integers(1, 12)), int(sizes.integers(0, 12))) for _ in range(40)]
+    for T, U in shapes:
+        V = int(sizes.integers(2, 6))
+        logits = rng.normal((T, U + 1, V + 1), std=3.0)
+        target = [int(v) for v in sizes.integers(0, V, U)]
+        assert_matches_naive_lattice(logits, target)
+
+
+def test_column_scan_long_blank_runs_keep_precision():
+    # Sharp logits over a long grid: the blank runs' cumulative sums reach
+    # thousands of nats, far from the cell values the scan subtracts them from.
+    sizes = np.random.default_rng(3)
+    T, U, V = 140, 35, 5
+    logits = sizes.uniform(-40.0, 40.0, (T, U + 1, V + 1))
+    target = [int(v) for v in sizes.integers(0, V, U)]
+    assert_matches_naive_lattice(logits, target)
