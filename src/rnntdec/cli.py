@@ -134,6 +134,25 @@ def cmd_embr(args) -> int:
     return EXIT_OK
 
 
+def _input_array(doc: dict, key: str, width: int, dtype, path: str) -> np.ndarray:
+    """``doc[key]`` as a finite (T, width) array of ``dtype``, else ConfigError."""
+    try:
+        arr = np.asarray(doc[key])
+    except ValueError as e:  # ragged nesting
+        raise ConfigError(f"{path}: '{key}' is not a rectangular array: {e}") from e
+    if arr.shape == (0,):  # an empty utterance: no rows at all
+        arr = arr.reshape(0, width)
+    if arr.dtype.kind not in "iuf":
+        raise ConfigError(f"{path}: '{key}' must hold numbers only")
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ConfigError(f"{path}: '{key}' has shape {arr.shape}, expected (T, {width})")
+    with np.errstate(over="ignore"):  # values beyond f4 range become inf, rejected below
+        arr = arr.astype(dtype)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: '{key}' holds NaN or infinite values")
+    return arr
+
+
 def _load_input_frames(path: str, weights):
     try:
         with open(path) as fh:
@@ -145,10 +164,10 @@ def _load_input_frames(path: str, weights):
     if not isinstance(doc, dict) or ("frames" not in doc) == ("features" not in doc):
         raise ConfigError(f"{path}: input must contain exactly one of 'frames' or 'features'")
     if "frames" in doc:
-        return np.asarray(doc["frames"], dtype=weights.dtype)
+        return _input_array(doc, "frames", weights.enc_w.shape[0], weights.dtype, path)
     if weights.enc_stub is None:
         raise ConfigError(f"{path}: model has no encoder stub; provide 'frames' instead")
-    features = np.asarray(doc["features"], dtype=weights.dtype)
+    features = _input_array(doc, "features", weights.enc_stub.w.shape[0], weights.dtype, path)
     return toy_encode(features, weights.enc_stub)
 
 

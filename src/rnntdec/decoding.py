@@ -5,6 +5,13 @@ emit up to ``max_symbols_per_frame`` non-blank labels before a blank advances
 time.  Since the prediction network only sees the last ``history_len``
 labels, its outputs are cached per history window during a decode (the
 dynamic form of the lookup-table conversion below).
+
+Beam search expands its hypotheses in rounds, one batch per round: the
+prediction outputs of every live hypothesis go through one joint call and
+one row-wise log-softmax, and the next frontier is chosen from the
+(hypotheses x vocabulary) score matrix with ``np.partition``.  Candidates
+tied at the beam's last score are settled by label sequence, so the n-best
+list is the one a full sort by ``(-log_prob, labels)`` would give.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DecoderConfig
-from .errors import CapacityError, ConfigError
+from .errors import CapacityError, ConfigError, ShapeError
 from .mathops import log_softmax, logaddexp
 from .nets import PredictionState, joint_forward, prediction_forward
 from .weights import ModelWeights, check_variant
@@ -108,55 +115,80 @@ def beam_decode(
 ) -> list[Hypothesis]:
     """Time-synchronous beam search with label-sequence merging.
 
-    Hypotheses with identical label sequences are merged by log-sum-exp of
-    their alignment log-probs.  Within a frame, each hypothesis may extend by
-    at most ``max_symbols_per_frame`` labels; taking blank moves it to the
-    next frame's beam.  Returns the n-best list sorted by descending
-    log-prob.
+    Each frame runs ``max_symbols_per_frame + 1`` expansion rounds.  A round
+    scores its whole frontier (at most ``beam_width`` hypotheses) with one
+    batched joint call and one row-wise log-softmax.  Every frontier
+    hypothesis takes blank into the next frame's beam, where identical label
+    sequences merge by log-sum-exp of their alignment log-probs.  Except in
+    the last round, the extensions ``lp + logp[:, :V]`` form the next
+    frontier: the ``beam_width`` best by ``(-log_prob, labels)``, found with
+    ``np.partition`` at the B-th score, keeping every candidate tied at that
+    threshold and sorting only those.  Distinct frontier sequences have
+    distinct extensions, so a round's candidates never merge.
+
+    Returns the n-best list sorted by descending log-prob.
     """
     check_variant(weights, config)
     if beam_width < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam_width}")
+    d_enc = weights.enc_w.shape[0]
+    if enc_frames.ndim != 2 or enc_frames.shape[1] != d_enc:
+        raise ShapeError(f"encoder frames {enc_frames.shape} != (T, {d_enc})")
     cache = _PnCache(weights, config)
     blank = config.blank_id
-    vocab = config.vocab_size
-
-    def top_b(d: dict[tuple[int, ...], float]) -> dict[tuple[int, ...], float]:
-        if len(d) <= beam_width:
-            return d
-        kept = sorted(d.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width]
-        return dict(kept)
+    last_round = config.max_symbols_per_frame
 
     beams: dict[tuple[int, ...], float] = {(): 0.0}
-    for t in range(enc_frames.shape[0]):
-        f_t = enc_frames[t]
+    for f_t in enc_frames:
         next_beams: dict[tuple[int, ...], float] = {}
-        frontier = beams
-        for round_idx in range(config.max_symbols_per_frame + 1):
-            extended: dict[tuple[int, ...], float] = {}
-            for labels, lp in frontier.items():
-                g = cache.get(PredictionState.from_labels(labels, config))
-                logp = log_softmax(joint_forward(f_t, g, weights, config))
-                blank_lp = lp + float(logp[blank])
+        frontier = list(beams.items())
+        for round_idx in range(last_round + 1):
+            G = np.stack([cache.get(PredictionState.from_labels(labels, config))
+                          for labels, _ in frontier])
+            logp = log_softmax(joint_forward(f_t, G, weights, config))
+            for (labels, lp), blank_logp in zip(frontier, logp[:, blank].tolist()):
+                blank_lp = lp + blank_logp
                 prev = next_beams.get(labels)
                 next_beams[labels] = blank_lp if prev is None else logaddexp(prev, blank_lp)
-                if round_idx < config.max_symbols_per_frame:
-                    for v in range(vocab):
-                        seq = labels + (v,)
-                        cand = lp + float(logp[v])
-                        prev = extended.get(seq)
-                        extended[seq] = cand if prev is None else logaddexp(prev, cand)
-            frontier = top_b(extended)
-            if not frontier:
-                break
-        beams = top_b(next_beams)
+            if round_idx < last_round:
+                lps = np.array([lp for _, lp in frontier])
+                frontier = _best_extensions(frontier, lps[:, None] + logp[:, :blank], beam_width)
+        beams = _top_b(next_beams, beam_width)
 
     nbest = []
     for labels, lp in beams.items():
         state = PredictionState.from_labels(labels, config)
-        nbest.append(Hypothesis(labels, lp, state, cache.get(state)))
+        nbest.append(Hypothesis(labels, float(lp), state, cache.get(state)))
     nbest.sort(key=Hypothesis.sort_key)
     return nbest
+
+
+def _top_b(d: dict[tuple[int, ...], float], beam_width: int) -> dict[tuple[int, ...], float]:
+    if len(d) <= beam_width:
+        return d
+    return dict(sorted(d.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width])
+
+
+def _best_extensions(frontier, scores: np.ndarray, beam_width: int):
+    """The ``beam_width`` best (labels + (v,), scores[i, v]) by (-score, labels).
+
+    ``scores`` is (len(frontier), V).  Every candidate at or above the B-th
+    largest score is kept, so ties at the threshold are settled by labels
+    exactly as a full sort would settle them.
+    """
+    flat = scores.ravel()
+    cut = flat.size - beam_width
+    if cut > 0:
+        idx = np.flatnonzero(flat >= np.partition(flat, cut)[cut])
+    else:
+        idx = np.arange(flat.size)
+    rows, cols = np.divmod(idx, scores.shape[1])
+    cands = [(frontier[i][0] + (v,), s)
+             for i, v, s in zip(rows.tolist(), cols.tolist(), flat[idx].tolist())]
+    if len(cands) > beam_width:
+        cands.sort(key=lambda c: (-c[1], c[0]))
+        del cands[beam_width:]
+    return cands
 
 
 @dataclass

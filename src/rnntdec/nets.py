@@ -150,12 +150,24 @@ def prediction_forward(
 def joint_hidden(
     f_t: np.ndarray, g_u: np.ndarray, weights: ModelWeights
 ) -> np.ndarray:
-    """tanh(W_enc f_t + W_pred g_u + b): the joint's last hidden layer."""
+    """tanh(W_enc f_t + W_pred g_u + b): the joint's last hidden layer.
+
+    ``g_u`` is one prediction output (d_pn,) or a batch (n, d_pn) that all
+    meet the same frame.  A batch goes through stacked vector-matrix
+    products rather than one matrix product, so every row equals the
+    single-vector result bit for bit.
+    """
     if f_t.shape != (weights.enc_w.shape[0],):
         raise ShapeError(f"encoder frame {f_t.shape} != ({weights.enc_w.shape[0]},)")
-    if g_u.shape != (weights.pred_w.shape[0],):
-        raise ShapeError(f"prediction output {g_u.shape} != ({weights.pred_w.shape[0]},)")
-    return np.tanh(f_t @ weights.enc_w + g_u @ weights.pred_w + weights.joint_b)
+    if g_u.ndim not in (1, 2) or g_u.shape[-1] != weights.pred_w.shape[0]:
+        raise ShapeError(
+            f"prediction output {g_u.shape} != ([n,] {weights.pred_w.shape[0]})"
+        )
+    if g_u.ndim == 1:
+        pred = g_u @ weights.pred_w
+    else:
+        pred = np.matmul(g_u[:, None, :], weights.pred_w)[:, 0, :]
+    return np.tanh(f_t @ weights.enc_w + pred + weights.joint_b)
 
 
 def output_logits(h: np.ndarray, weights: ModelWeights) -> np.ndarray:
@@ -163,10 +175,17 @@ def output_logits(h: np.ndarray, weights: ModelWeights) -> np.ndarray:
 
     Non-blank logit v is dot(out_w[v], h); in tied mode out_w[v] is
     embedding row v, so the output layer reuses the embedding storage.
+    A batch ``h`` of shape (n, d_h) gives (n, V+1) logits, computed as
+    stacked matrix-vector products so that each row is bit-identical to
+    the single-vector result.
     """
-    logits = np.empty(weights.out_b.shape[0], dtype=h.dtype)
-    logits[:-1] = weights.out_w @ h
-    logits[-1] = weights.blank_w @ h
+    logits = np.empty(h.shape[:-1] + weights.out_b.shape, dtype=h.dtype)
+    if h.ndim == 1:
+        logits[:-1] = weights.out_w @ h
+        logits[-1] = weights.blank_w @ h
+    else:
+        logits[:, :-1] = np.matmul(weights.out_w, h[:, :, None])[:, :, 0]
+        logits[:, -1] = np.matmul(h[:, None, :], weights.blank_w[:, None])[:, 0, 0]
     logits += weights.out_b
     return logits
 
@@ -174,6 +193,7 @@ def output_logits(h: np.ndarray, weights: ModelWeights) -> np.ndarray:
 def joint_forward(
     f_t: np.ndarray, g_u: np.ndarray, weights: ModelWeights, config: DecoderConfig
 ) -> np.ndarray:
-    """Full joint network: combine one encoder frame with one PN output."""
+    """Full joint network: combine one encoder frame with one PN output,
+    or with a batch (n, d_pn) of them to give (n, V+1) logits."""
     check_variant(weights, config)
     return output_logits(joint_hidden(f_t, g_u, weights), weights)

@@ -9,7 +9,7 @@ import numpy as np
 from rnntdec import DecoderConfig, SeededRng
 from rnntdec.backprop import backprop_decoder, forward_grid
 from rnntdec.lattice import transducer_loss
-from rnntdec.mathops import log_softmax
+from rnntdec.mathops import log_softmax, logaddexp
 from rnntdec.nets import PredictionState, joint_forward, prediction_forward
 from rnntdec.toy import Utterance, encode_backward
 from rnntdec.train import utterance_loss_grads
@@ -135,6 +135,51 @@ def naive_lattice(log_probs: np.ndarray, target):
             if u < U:
                 dlogits[t, u, target[u]] -= occ_label
     return log_alpha, log_beta, dlogits
+
+
+def naive_beam_decode(frames, weights, config, beam_width) -> list[tuple[tuple[int, ...], float]]:
+    """Beam search one hypothesis and one vocabulary label at a time.
+
+    The same search as ``beam_decode`` (``max_symbols_per_frame + 1`` rounds
+    per frame, label-sequence merging, top-B by ``(-log_prob, labels)``),
+    written as a joint call per hypothesis and a Python loop over the
+    vocabulary that puts every extension into a dict and sorts all of them.
+    Returns the n-best ``(labels, log_prob)`` pairs sorted like ``beam_decode``.
+    """
+    blank = config.blank_id
+    pn_cache: dict[tuple[int, ...], np.ndarray] = {}
+
+    def g_of(labels):
+        state = PredictionState.from_labels(labels, config)
+        if state.ids not in pn_cache:
+            pn_cache[state.ids] = prediction_forward(state, weights, config)
+        return pn_cache[state.ids]
+
+    def top_b(d):
+        if len(d) <= beam_width:
+            return d
+        return dict(sorted(d.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width])
+
+    beams = {(): 0.0}
+    for t in range(frames.shape[0]):
+        next_beams = {}
+        frontier = beams
+        for round_idx in range(config.max_symbols_per_frame + 1):
+            extended = {}
+            for labels, lp in frontier.items():
+                logp = log_softmax(joint_forward(frames[t], g_of(labels), weights, config))
+                blank_lp = lp + float(logp[blank])
+                prev = next_beams.get(labels)
+                next_beams[labels] = blank_lp if prev is None else logaddexp(prev, blank_lp)
+                if round_idx < config.max_symbols_per_frame:
+                    for v in range(config.vocab_size):
+                        seq = labels + (v,)
+                        cand = lp + float(logp[v])
+                        prev = extended.get(seq)
+                        extended[seq] = cand if prev is None else logaddexp(prev, cand)
+            frontier = top_b(extended)
+        beams = top_b(next_beams)
+    return sorted(beams.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def enumerate_decode_paths(frames, weights, config) -> dict[tuple[int, ...], float]:

@@ -186,6 +186,66 @@ class TestDecodeInputDtype:
             assert doc == {"labels": want.labels, "log_prob": want.log_prob}
 
 
+class TestDecodeInputValidation:
+    """Decode input that is not a finite 2-D numeric array of the right width
+    exits 2 with one error[schema] line naming the input file."""
+
+    # each case maps the expected row width to a defective array
+    BAD_ROWS = {
+        "ragged": lambda n: [[0.0] * n, [0.0] * (n - 1)],
+        "string": lambda n: [["a"] + [0.0] * (n - 1)],
+        "nan": lambda n: [[float("nan")] + [0.0] * (n - 1)],
+        "inf": lambda n: [[float("inf")] + [0.0] * (n - 1)],
+        "neg_inf": lambda n: [[0.0] * (n - 1) + [float("-inf")]],
+        "bool": lambda n: [[True] * n],
+        "null": lambda n: [[None] * n],
+        "wrong_width": lambda n: [[0.0] * (n + 1)],
+        "one_dim": lambda n: [0.0] * n,
+    }
+
+    @staticmethod
+    def model(tmp_path, dtype=np.float64):
+        cfg = tiny_config(vocab_size=3, d_e=4, d_h=4, d_enc=4)
+        w = init_weights(cfg, seed=1, dtype=dtype)
+        w.enc_stub = init_encoder_stub(3, cfg.d_enc, seed=1, dtype=dtype)
+        path = str(tmp_path / "m.rnnt")
+        save(w, cfg, path)
+        return path
+
+    @staticmethod
+    def assert_schema_exit(argv, inp, key, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[schema]: ")
+        assert inp in lines[0] and f"'{key}'" in lines[0]
+
+    @pytest.mark.parametrize("beam", [[], ["--beam", "2"]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_bad_input_exits_schema(self, tmp_path, capsys, case, dtype, beam):
+        model = self.model(tmp_path, dtype)
+        for key, width in (("frames", 4), ("features", 3)):
+            inp = write(tmp_path, "in.json", {key: self.BAD_ROWS[case](width)})
+            self.assert_schema_exit(["decode", model, inp, "--json", *beam], inp, key, capsys)
+
+    def test_value_beyond_f4_range_is_rejected_for_f4_models(self, tmp_path, capsys):
+        model = self.model(tmp_path, np.float32)
+        inp = write(tmp_path, "in.json", {"frames": [[1e300, 0.0, 0.0, 0.0]]})
+        self.assert_schema_exit(["decode", model, inp], inp, "frames", capsys)
+
+    @pytest.mark.parametrize("beam", [[], ["--beam", "2"]])
+    def test_empty_utterance_decodes(self, tmp_path, capsys, beam):
+        model = self.model(tmp_path)
+        for key in ("frames", "features"):
+            inp = write(tmp_path, "in.json", {key: []})
+            assert main(["decode", model, inp, "--json", *beam]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc in ({"labels": [], "log_prob": 0.0},
+                           {"nbest": [{"labels": [], "log_prob": 0.0}]})
+
+
 class TestBench:
     def test_tiny_bench_json_schema(self, tmp_path, capsys):
         doc = {

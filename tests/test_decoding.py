@@ -11,11 +11,17 @@ from rnntdec import (
 )
 from rnntdec.bench import step_timer
 from rnntdec.decoding import LookupTable
-from rnntdec.errors import CapacityError, ConfigError
+from rnntdec.errors import CapacityError, ConfigError, ShapeError
 from rnntdec.mathops import log_softmax
 from rnntdec.nets import PredictionState, joint_forward
 
-from helpers import all_blank_model, enumerate_decode_paths, one_label_then_blank_model, tiny_config
+from helpers import (
+    all_blank_model,
+    enumerate_decode_paths,
+    naive_beam_decode,
+    one_label_then_blank_model,
+    tiny_config,
+)
 
 
 def small_beam_config(trial=0):
@@ -156,6 +162,76 @@ class TestBeam:
         w = all_blank_model(cfg)
         nbest = beam_decode(np.zeros((0, cfg.d_enc)), w, cfg, 4)
         assert len(nbest) == 1 and nbest[0].labels == () and nbest[0].log_prob == 0.0
+
+
+def zero_joint_model(cfg, dtype=np.float64):
+    """Joint weights and output biases all zero: every label and blank score
+    log(1 / (V+1)) at every step, so beam ranking is decided by ties alone."""
+    w = init_weights(cfg, seed=0, dtype=dtype)
+    for t in (w.enc_w, w.pred_w, w.joint_b, w.out_w, w.blank_w, w.out_b):
+        t[...] = 0.0
+    return w
+
+
+class TestBatchedBeam:
+    """``beam_decode`` scores each round as one batch; ``naive_beam_decode``
+    is the same search one hypothesis and one label at a time."""
+
+    @staticmethod
+    def as_pairs(nbest):
+        return [(h.labels, h.log_prob) for h in nbest]
+
+    def test_bit_identical_to_naive_beam(self):
+        rng = np.random.default_rng(2024)
+        variants = ("reduced", "stateless1emb", "concat2emb", "lstm")
+        for trial in range(200):
+            variant = variants[trial % 4]
+            dtype = (np.float64, np.float32)[(trial // 4) % 2]
+            d = int(rng.integers(2, 7))
+            cfg = tiny_config(
+                variant, vocab_size=int(rng.integers(2, 9)), d_e=d, d_h=d,
+                tied=bool((trial // 8) % 2), max_symbols_per_frame=int(rng.integers(1, 4)),
+                **({"lstm_proj": d} if variant == "lstm" else {}),
+            )
+            w = init_weights(cfg, seed=trial, dtype=dtype)
+            T = int(rng.integers(0, 6))
+            frames = (2.0 * rng.standard_normal((T, cfg.d_enc))).astype(dtype)
+            for width in (1, 2, 4, 9):
+                nbest = beam_decode(frames, w, cfg, width)
+                assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width), (
+                    f"trial {trial}: {variant} {np.dtype(dtype).name} B={width} T={T}"
+                )
+                assert all(type(h.log_prob) is float for h in nbest)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_exact_ties_keep_smallest_label_sequences(self, dtype):
+        # one frame, one symbol: the round-1 frontier must be (0,), (1,), (2,)
+        # out of four equally scored labels, so the n-best is (), (0,), (1,)
+        cfg = tiny_config(vocab_size=4, max_symbols_per_frame=1)
+        w = zero_joint_model(cfg, dtype)
+        frames = np.ones((1, cfg.d_enc), dtype=dtype)
+        nbest = beam_decode(frames, w, cfg, 3)
+        assert [h.labels for h in nbest] == [(), (0,), (1,)]
+        for variant in ("reduced", "stateless1emb", "concat2emb", "lstm"):
+            cfg = tiny_config(variant, vocab_size=3, max_symbols_per_frame=2)
+            w = zero_joint_model(cfg, dtype)
+            frames = np.ones((3, cfg.d_enc), dtype=dtype)
+            for width in (1, 2, 4, 5, 9):
+                got = self.as_pairs(beam_decode(frames, w, cfg, width))
+                assert got == naive_beam_decode(frames, w, cfg, width)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (0, 3), (2, 4, 1)])
+    def test_wrong_frame_shape_is_shape_error(self, shape):
+        cfg = tiny_config()  # d_enc = 4
+        w = all_blank_model(cfg)
+        with pytest.raises(ShapeError):
+            beam_decode(np.zeros(shape), w, cfg, 2)
+
+    def test_log_prob_is_python_float(self):
+        cfg, w, frames = random_beam_instance(5)
+        nbest = beam_decode(frames, w, cfg, 4)
+        assert len(nbest) > 1
+        assert all(type(h.log_prob) is float for h in nbest)
 
 
 class TestLookup:

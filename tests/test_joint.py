@@ -77,3 +77,32 @@ def test_dim_mismatch():
         joint_hidden(np.zeros(cfg.d_enc + 1), np.zeros(cfg.pn_out_dim), w)
     with pytest.raises(ShapeError):
         joint_hidden(np.zeros(cfg.d_enc), np.zeros(cfg.pn_out_dim + 1), w)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("variant", ["reduced", "stateless1emb", "concat2emb", "lstm"])
+def test_batched_joint_rows_equal_single_vector_joint(variant, dtype):
+    # beam search scores a whole frontier at once; its n-best lists stay
+    # bit-identical only if every batch row is the single-vector result
+    rng = np.random.default_rng(7)
+    for trial in range(25):
+        d = int(rng.integers(2, 40))
+        cfg = tiny_config(variant, vocab_size=int(rng.integers(2, 70)), d_e=d, d_h=d,
+                          d_enc=int(rng.integers(1, 40)), tied=bool(trial % 2),
+                          **({"lstm_proj": d} if variant == "lstm" else {}))
+        w = init_weights(cfg, seed=trial, dtype=dtype)
+        f_t = rng.standard_normal(cfg.d_enc).astype(dtype)
+        G = rng.standard_normal((int(rng.integers(1, 10)), cfg.pn_out_dim)).astype(dtype)
+        batch = joint_forward(f_t, G, w, cfg)
+        assert batch.shape == (G.shape[0], cfg.num_logits) and batch.dtype == dtype
+        for g, row in zip(G, batch):
+            np.testing.assert_array_equal(row, joint_forward(f_t, g, w, cfg))
+
+
+def test_batched_joint_dim_mismatch():
+    cfg = tiny_config()
+    w = tiny_model(cfg)
+    with pytest.raises(ShapeError):
+        joint_hidden(np.zeros(cfg.d_enc), np.zeros((3, cfg.pn_out_dim + 1)), w)
+    with pytest.raises(ShapeError):
+        joint_hidden(np.zeros(cfg.d_enc), np.zeros((2, 3, cfg.pn_out_dim)), w)
