@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DecoderConfig
+from .config import DecoderConfig, DictCodec
 from .errors import ConfigError
 from .nets import PredictionState, joint_forward, prediction_forward
 from .rng import SeededRng
-from .weights import ModelWeights, step_flops
+from .weights import ModelWeights
 
 
 @dataclass
@@ -80,21 +80,12 @@ def make_step_fn(
 
 
 @dataclass
-class BenchRecord:
+class BenchRecord(DictCodec):
     core_label: str
     decoder_name: str
     runs: int
     mean_ms: float
     std_ms: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "core_label": self.core_label,
-            "decoder_name": self.decoder_name,
-            "runs": self.runs,
-            "mean_ms": self.mean_ms,
-            "std_ms": self.std_ms,
-        }
 
 
 def cpu_label() -> str:
@@ -120,8 +111,3 @@ def bench_decoder(
 ) -> BenchRecord:
     stats = step_timer(make_step_fn(weights, config, seed=seed), runs, warmup)
     return BenchRecord(cpu_label(), name, runs, stats.mean_ms, stats.std_ms)
-
-
-def flops_ratio(config_a: DecoderConfig, config_b: DecoderConfig) -> float:
-    """Analytic per-step FLOP ratio b/a."""
-    return step_flops(config_b) / step_flops(config_a)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
 from .model_io import load, save, save_lookup
 from .runconfig import RunConfig, load_run_config
 from .toy import toy_encode
-from .train import EmbrParams, dev_risk, embr_phase, make_toy_dataset, train
+from .train import dev_risk, embr_phase, make_toy_dataset, train
 from .weights import init_weights, param_count, step_flops, tied_savings
 
 EXIT_OK = 0
@@ -91,7 +92,7 @@ def cmd_train(args) -> int:
     cfg.require("decoder", "task", "train")
     hp = cfg.train
     if args.seed is not None:
-        hp = type(hp)(**{**hp.to_dict(), "seed": args.seed})
+        hp = replace(hp, seed=args.seed)
     metrics_path = args.out_model + ".metrics.jsonl"
     result = train(cfg.decoder, cfg.task, hp, metrics_path=metrics_path)
     save(result.weights, cfg.decoder, args.out_model, seed=hp.seed)
@@ -114,7 +115,7 @@ def cmd_embr(args) -> int:
         )
     params = cfg.embr
     if args.seed is not None:
-        params = EmbrParams(**{**params.to_dict(), "seed": args.seed})
+        params = replace(params, seed=args.seed)
     # Same deterministic corpus as cmd_train: dataset seed derives from train.seed.
     from .rng import SeededRng
 
@@ -236,7 +237,7 @@ def cmd_bench(args) -> int:
     if args.json:
         _emit_json(
             {
-                "records": [r.to_json_dict() for r in records],
+                "records": [r.to_dict() for r in records],
                 "baseline": base_name,
                 "comparisons": comparisons,
                 "flops_per_step": flops,

@@ -14,8 +14,27 @@ LSTM = "lstm"
 VARIANTS = (REDUCED, STATELESS_1EMB, CONCAT_2EMB, LSTM)
 
 
+class DictCodec:
+    """``to_dict``/``from_dict`` for flat dataclasses: configs and records."""
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise ConfigError(f"{cls.__name__}: expected an object, got {type(d).__name__}")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        try:
+            return cls(**d)
+        except TypeError as e:
+            raise ConfigError(str(e)) from None
+
+
 @dataclass(frozen=True)
-class DecoderConfig:
+class DecoderConfig(DictCodec):
     """Hyperparameters defining one decoder (prediction network + joint).
 
     ``history_len`` is the number of previous non-blank labels the prediction
@@ -91,20 +110,6 @@ class DecoderConfig:
 
     def with_tied(self, tied: bool) -> "DecoderConfig":
         return replace(self, tied=tied)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecoderConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown decoder config keys: {sorted(unknown)}")
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(str(e)) from None
 
 
 def _preset_lstm() -> DecoderConfig:

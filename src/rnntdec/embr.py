@@ -17,7 +17,7 @@ from .config import DecoderConfig
 from .decoding import Hypothesis, beam_decode
 from .errors import DomainError
 from .lattice import transducer_loss
-from .toy import Utterance, encode_backward, toy_encode
+from .toy import Utterance, encode_backward, frames_for
 from .weights import ModelWeights
 
 
@@ -99,7 +99,7 @@ def utterance_risk(
     posterior_scale: float = 1.0,
 ) -> float:
     """Risk of a fixed candidate set under the current weights (no gradient)."""
-    frames = _frames_for(utt, weights)
+    frames = frames_for(utt, weights)
     entries = [
         Hypothesis(labels, rescore_exact(frames, labels, weights, config)[0])
         for labels in nbest_labels
@@ -120,7 +120,7 @@ def utterance_risk_grads(
     (log P(h) = -loss(h)) into every trainable tensor, including the encoder
     stub when present.
     """
-    frames = _frames_for(utt, weights)
+    frames = frames_for(utt, weights)
     scored = [rescore_exact(frames, labels, weights, config) for labels in nbest_labels]
     entries = [
         Hypothesis(labels, lp) for labels, (lp, _, _) in zip(nbest_labels, scored)
@@ -167,7 +167,7 @@ def embr_batch_grads(
     total_risk = 0.0
     used = skipped = 0
     for utt in batch:
-        frames = _frames_for(utt, weights)
+        frames = frames_for(utt, weights)
         nbest = beam_decode(frames, weights, config, beam_width)
         if not nbest:
             skipped += 1
@@ -198,15 +198,8 @@ def dataset_risk(
     """Mean expected edit distance over a dataset (evaluation only)."""
     total = 0.0
     for utt in utts:
-        frames = _frames_for(utt, weights)
+        frames = frames_for(utt, weights)
         nbest = beam_decode(frames, weights, config, beam_width)
         labels_list = [h.labels for h in nbest]
         total += utterance_risk(utt, labels_list, weights, config, posterior_scale)
     return total / len(utts) if utts else 0.0
-
-
-def _frames_for(utt: Utterance, weights: ModelWeights) -> np.ndarray:
-    """Features go through the encoder stub when the model has one."""
-    if weights.enc_stub is not None:
-        return toy_encode(utt.features, weights.enc_stub)
-    return utt.features

@@ -73,16 +73,6 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def logsumexp(values: np.ndarray, axis=None) -> np.ndarray:
-    """Stable log(sum(exp(values))); handles all -inf inputs."""
-    values = np.asarray(values, dtype=np.float64)
-    m = np.max(values, axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(values - m).sum(axis=axis, keepdims=True)) + m
-    return out if axis is None else np.squeeze(out, axis=axis)
-
-
 def logaddexp(a: float, b: float) -> float:
     """Two-operand log-domain add for lattice recursions."""
     if a == -np.inf:

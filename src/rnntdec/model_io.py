@@ -13,12 +13,13 @@ keys, fixed tensor order.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import LSTM, REDUCED, DecoderConfig
+from .config import DecoderConfig
 from .decoding import LookupTable
 from .errors import (
     ArchiveError,
@@ -27,7 +28,7 @@ from .errors import (
     UnsupportedFormatError,
     ValidationError,
 )
-from .weights import EncoderStub, LstmLayer, ModelWeights
+from .weights import ModelWeights, get_tensor, specs_of, tensor_specs, weights_from_tensors
 
 FORMAT_VERSION = 1
 _KNOWN_KEYS = {"format_version", "kind", "requires", "config", "tensors", "aliases", "seed"}
@@ -47,34 +48,10 @@ class ModelArchive:
         return {k: v for k, v in self.manifest.items() if k not in _KNOWN_KEYS}
 
 
-def _named_tensors(weights: ModelWeights) -> list[tuple[str, np.ndarray, tuple[int, int]]]:
-    """(name, array, (rows, cols)) in fixed archive order; alias excluded."""
-    cfg = weights.config
-    out = [("emb", weights.emb, weights.emb.shape)]
-    if cfg.variant == REDUCED:
-        h, n, d = weights.positions.shape
-        out.append(("positions", weights.positions, (h * n, d)))
-        out.append(("proj_w", weights.proj_w, weights.proj_w.shape))
-        out.append(("proj_b", weights.proj_b, (1, weights.proj_b.shape[0])))
-        out.append(("ln_gamma", weights.ln_gamma, (1, weights.ln_gamma.shape[0])))
-        out.append(("ln_beta", weights.ln_beta, (1, weights.ln_beta.shape[0])))
-    elif cfg.variant == LSTM:
-        for i, layer in enumerate(weights.lstm):
-            out.append((f"lstm{i}_w_x", layer.w_x, layer.w_x.shape))
-            out.append((f"lstm{i}_w_h", layer.w_h, layer.w_h.shape))
-            out.append((f"lstm{i}_bias", layer.bias, (1, layer.bias.shape[0])))
-            out.append((f"lstm{i}_w_p", layer.w_p, layer.w_p.shape))
-    out.append(("enc_w", weights.enc_w, weights.enc_w.shape))
-    out.append(("pred_w", weights.pred_w, weights.pred_w.shape))
-    out.append(("joint_b", weights.joint_b, (1, weights.joint_b.shape[0])))
-    if not cfg.tied:
-        out.append(("out_w", weights.out_w, weights.out_w.shape))
-    out.append(("blank_w", weights.blank_w, (1, weights.blank_w.shape[0])))
-    out.append(("out_b", weights.out_b, (1, weights.out_b.shape[0])))
-    if weights.enc_stub is not None:
-        out.append(("enc_stub_w", weights.enc_stub.w, weights.enc_stub.w.shape))
-        out.append(("enc_stub_b", weights.enc_stub.b, (1, weights.enc_stub.b.shape[0])))
-    return out
+def _archive_shape(shape: tuple[int, ...]) -> tuple[int, int]:
+    """Stored (rows, cols): vectors are one row, the 3-D positions are
+    (heads * history, d_e)."""
+    return math.prod(shape[:-1]), shape[-1]
 
 
 def _dtype_tag(arr: np.ndarray) -> str:
@@ -84,7 +61,18 @@ def _dtype_tag(arr: np.ndarray) -> str:
     return tag
 
 
-def _build_archive(tensors, manifest_base: dict) -> bytes:
+def _manifest(kind: str, config: DecoderConfig, seed: int | None) -> dict:
+    return {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "requires": [],
+        "config": config.to_dict(),
+        "seed": seed,
+    }
+
+
+def _write_archive(path: str, manifest: dict, tensors) -> None:
+    """Write ``tensors``, (name, array, (rows, cols)) in blob order."""
     directory = {}
     blob = bytearray()
     for name, arr, (rows, cols) in tensors:
@@ -92,10 +80,13 @@ def _build_archive(tensors, manifest_base: dict) -> bytes:
         data = np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes()
         directory[name] = {"offset": len(blob), "rows": rows, "cols": cols, "dtype": tag}
         blob.extend(data)
-    manifest = dict(manifest_base)
-    manifest["tensors"] = directory
+    manifest = {**manifest, "tensors": directory}
     raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return struct.pack("<Q", len(raw)) + raw + bytes(blob)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<Q", len(raw)) + raw + bytes(blob))
+    except OSError as e:
+        raise ArchiveError(f"cannot write archive {path}: {e}") from e
 
 
 def save(
@@ -107,26 +98,22 @@ def save(
 ) -> None:
     """Write a model archive; byte-identical output for identical inputs."""
     weights.validate()
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "model",
-        "requires": [],
-        "config": config.to_dict(),
-        "seed": seed,
-    }
-    if config.tied:
-        manifest["aliases"] = {"out_w": "emb"}
+    manifest = _manifest("model", config, seed)
+    specs = specs_of(weights)
+    aliases = {s.name: s.alias for s in specs if s.alias is not None}
+    if aliases:
+        manifest["aliases"] = aliases
     if extra:
         overlap = set(extra) & _KNOWN_KEYS
         if overlap:
             raise ArchiveError(f"extra manifest keys clash with reserved ones: {sorted(overlap)}")
         manifest.update(extra)
-    data = _build_archive(_named_tensors(weights), manifest)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as e:
-        raise ArchiveError(f"cannot write archive {path}: {e}") from e
+    tensors = [
+        (s.name, get_tensor(weights, s.name), _archive_shape(s.shape))
+        for s in specs
+        if s.alias is None
+    ]
+    _write_archive(path, manifest, tensors)
 
 
 def read_archive(path: str) -> ModelArchive:
@@ -145,18 +132,28 @@ def read_archive(path: str) -> ModelArchive:
         manifest = json.loads(raw[8 : 8 + manifest_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptArchiveError(f"{path}: manifest is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise CorruptArchiveError(f"{path}: manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise UnsupportedFormatError(
             f"{path}: format_version {version!r} not supported (expected {FORMAT_VERSION})"
         )
-    unknown_required = [r for r in manifest.get("requires", [])]
-    if unknown_required:
+    requires = manifest.get("requires", [])
+    if not isinstance(requires, list):
+        raise CorruptArchiveError(f"{path}: 'requires' is not a list")
+    if requires:
         raise UnsupportedFormatError(
-            f"{path}: archive requires unsupported capabilities {unknown_required}"
+            f"{path}: archive requires unsupported capabilities {requires}"
         )
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, dict):
+        raise CorruptArchiveError(f"{path}: manifest has no tensor directory")
+    if not isinstance(manifest.get("aliases", {}), dict):
+        raise CorruptArchiveError(f"{path}: 'aliases' is not an object")
     blob = raw[8 + manifest_len :]
-    for name, entry in manifest.get("tensors", {}).items():
+    for name, entry in tensors.items():
+        _check_entry(path, name, entry)
         end = entry["offset"] + entry["rows"] * entry["cols"] * _DTYPES[entry["dtype"]].itemsize
         if end > len(blob):
             raise CorruptArchiveError(
@@ -166,125 +163,74 @@ def read_archive(path: str) -> ModelArchive:
     return ModelArchive(manifest, blob)
 
 
-def _read_tensor(archive: ModelArchive, name: str, flat: bool = False) -> np.ndarray:
-    try:
-        entry = archive.manifest["tensors"][name]
-    except KeyError:
-        raise CorruptArchiveError(f"archive is missing tensor {name!r}") from None
+def _check_entry(path: str, name: str, entry) -> None:
+    if not isinstance(entry, dict):
+        raise CorruptArchiveError(f"{path}: tensor {name!r} entry is not an object")
+    for key in ("offset", "rows", "cols"):
+        value = entry.get(key)
+        if type(value) is not int or value < 0:
+            raise CorruptArchiveError(
+                f"{path}: tensor {name!r} {key} must be a non-negative integer, got {value!r}"
+            )
+    if not isinstance(entry.get("dtype"), str) or entry["dtype"] not in _DTYPES:
+        raise CorruptArchiveError(f"{path}: tensor {name!r} has unknown dtype {entry.get('dtype')!r}")
+
+
+def _read_tensor(archive: ModelArchive, path: str, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """Tensor ``name``, which must be stored as ``_archive_shape(shape)``."""
+    entry = archive.manifest["tensors"].get(name)
+    if entry is None:
+        raise CorruptArchiveError(f"{path}: archive is missing tensor {name!r}")
+    stored, expected = (entry["rows"], entry["cols"]), _archive_shape(shape)
+    if stored != expected:
+        raise ValidationError(f"{path}: tensor {name} is stored as {stored}, expected {expected}")
     dtype = _DTYPES[entry["dtype"]]
     count = entry["rows"] * entry["cols"]
     arr = np.frombuffer(archive.blob, dtype=dtype, count=count, offset=entry["offset"]).copy()
-    if flat:
-        return arr
-    return arr.reshape(entry["rows"], entry["cols"])
+    return arr.reshape(shape)
+
+
+def _open_archive(path: str, kind: str) -> tuple[ModelArchive, DecoderConfig]:
+    archive = read_archive(path)
+    if archive.manifest.get("kind") != kind:
+        raise UnsupportedFormatError(f"{path}: not a {kind} archive")
+    try:
+        return archive, DecoderConfig.from_dict(archive.manifest["config"])
+    except (ConfigError, KeyError) as e:
+        raise ValidationError(f"{path}: invalid stored config: {e}") from None
 
 
 def load(path: str) -> tuple[ModelWeights, DecoderConfig]:
     """Reconstruct weights (including the tying alias) and their config.
 
-    Raises UnsupportedFormatError on version mismatch, CorruptArchiveError on
-    truncation, ValidationError when a model invariant fails.
+    Every tensor of the config's table (``weights.tensor_specs``) must be
+    stored with the table's shape; tensors the table does not name are
+    ignored.  Raises UnsupportedFormatError on version mismatch,
+    CorruptArchiveError on a malformed manifest or truncation,
+    ValidationError when a shape or model invariant fails.
     """
-    archive = read_archive(path)
-    if archive.manifest.get("kind") != "model":
-        raise UnsupportedFormatError(f"{path}: not a model archive")
-    try:
-        config = DecoderConfig.from_dict(archive.manifest["config"])
-    except (ConfigError, KeyError) as e:
-        raise ValidationError(f"{path}: invalid stored config: {e}") from None
-
-    def vec(name):
-        return _read_tensor(archive, name, flat=True)
-
-    weights = ModelWeights(
-        config=config,
-        emb=_read_tensor(archive, "emb"),
-        enc_w=_read_tensor(archive, "enc_w"),
-        pred_w=_read_tensor(archive, "pred_w"),
-        joint_b=vec("joint_b"),
-        out_w=np.zeros((0, 0)),  # installed below
-        blank_w=vec("blank_w"),
-        out_b=vec("out_b"),
-    )
-    if config.variant == REDUCED:
-        weights.positions = _read_tensor(archive, "positions").reshape(
-            config.num_heads, config.history_len, config.d_e
-        )
-        weights.proj_w = _read_tensor(archive, "proj_w")
-        weights.proj_b = vec("proj_b")
-        weights.ln_gamma = vec("ln_gamma")
-        weights.ln_beta = vec("ln_beta")
-    elif config.variant == LSTM:
-        weights.lstm = [
-            LstmLayer(
-                w_x=_read_tensor(archive, f"lstm{i}_w_x"),
-                w_h=_read_tensor(archive, f"lstm{i}_w_h"),
-                bias=vec(f"lstm{i}_bias"),
-                w_p=_read_tensor(archive, f"lstm{i}_w_p"),
+    archive, config = _open_archive(path, "model")
+    stub = archive.manifest["tensors"].get("enc_stub_w")
+    arrays = {}
+    for spec in tensor_specs(config, None if stub is None else stub["rows"]):
+        if spec.alias is None:
+            arrays[spec.name] = _read_tensor(archive, path, spec.name, spec.shape)
+        elif archive.manifest.get("aliases", {}).get(spec.name) != spec.alias:
+            raise ValidationError(
+                f"{path}: tied model must record the {spec.name} -> {spec.alias} alias"
             )
-            for i in range(config.lstm_layers)
-        ]
-    if "enc_stub_w" in archive.manifest["tensors"]:
-        weights.enc_stub = EncoderStub(
-            w=_read_tensor(archive, "enc_stub_w"), b=vec("enc_stub_b")
-        )
-    if config.tied:
-        if archive.manifest.get("aliases", {}).get("out_w") != "emb":
-            raise ValidationError(f"{path}: tied model must record the out_w -> emb alias")
-        weights.tie_output()
-    else:
-        weights.out_w = _read_tensor(archive, "out_w")
-
-    _check_shapes(weights, config, path)
+    weights = weights_from_tensors(config, arrays)
     weights.validate()
     return weights, config
 
 
-def _check_shapes(weights: ModelWeights, config: DecoderConfig, path: str) -> None:
-    expected = {
-        "enc_w": (config.d_enc, config.d_h),
-        "pred_w": (config.pn_out_dim, config.d_h),
-        "joint_b": (config.d_h,),
-        "blank_w": (config.d_h,),
-        "out_b": (config.vocab_ext,),
-    }
-    for name, shape in expected.items():
-        actual = getattr(weights, name).shape
-        if actual != shape:
-            raise ValidationError(f"{path}: tensor {name} has shape {actual}, expected {shape}")
-
-
 def save_lookup(table: LookupTable, config: DecoderConfig, path: str) -> None:
     """Store a precomputed prediction-network table in the same container."""
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "lookup",
-        "requires": [],
-        "config": config.to_dict(),
-        "seed": None,
-    }
-    tensors = [("table", table.table, table.table.shape)]
-    data = _build_archive(tensors, manifest)
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as e:
-        raise ArchiveError(f"cannot write lookup archive {path}: {e}") from e
+    _write_archive(path, _manifest("lookup", config, None), [("table", table.table, table.table.shape)])
 
 
 def load_lookup(path: str) -> tuple[LookupTable, DecoderConfig]:
-    archive = read_archive(path)
-    if archive.manifest.get("kind") != "lookup":
-        raise UnsupportedFormatError(f"{path}: not a lookup archive")
-    try:
-        config = DecoderConfig.from_dict(archive.manifest["config"])
-    except (ConfigError, KeyError) as e:
-        raise ValidationError(f"{path}: invalid stored config: {e}") from None
-    table = _read_tensor(archive, "table")
-    expected_rows = config.vocab_ext**config.history_len
-    if table.shape != (expected_rows, config.pn_out_dim):
-        raise ValidationError(
-            f"{path}: lookup table shape {table.shape} != "
-            f"{(expected_rows, config.pn_out_dim)}"
-        )
+    archive, config = _open_archive(path, "lookup")
+    rows = config.vocab_ext**config.history_len
+    table = _read_tensor(archive, path, "table", (rows, config.pn_out_dim))
     return LookupTable(config.history_len, config.vocab_ext, table), config

@@ -93,8 +93,12 @@ def predict_single_head(E: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return predict_multi_head(E, positions[None, :, :])
 
 
-def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LstmLayer):
-    """One LSTM-with-projection step; returns (h_proj, c)."""
+def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LstmLayer, cache=None):
+    """One LSTM-with-projection step; returns (h_proj, c).
+
+    ``cache``, when given, is a list that receives the step's activations
+    ``(x, h, c, i, f, g, o, tanh(c_new), h_cell)`` for the backward pass.
+    """
     gates = x @ layer.w_x + h @ layer.w_h + layer.bias
     units = c.shape[0]
     i = sigmoid(gates[:units])
@@ -102,35 +106,25 @@ def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LstmLayer):
     g = np.tanh(gates[2 * units : 3 * units])
     o = sigmoid(gates[3 * units :])
     c_new = f * c + i * g
-    h_proj = (o * np.tanh(c_new)) @ layer.w_p
-    return h_proj, c_new
-
-
-def _lstm_forward(ids_oldest_first, weights: ModelWeights) -> np.ndarray:
-    """Run the stacked LSTM over the non-pad labels, oldest first.
-
-    Pads are skipped, so a fresh state yields the zero vector; the recurrent
-    state always starts from zero at the window boundary.
-    """
-    cfg = weights.config
-    dtype = weights.dtype
-    real = [i for i in ids_oldest_first if i != cfg.pad_id]
-    if not real:
-        return np.zeros(cfg.lstm_proj, dtype=dtype)
-    hs = [np.zeros(cfg.lstm_proj, dtype=dtype) for _ in weights.lstm]
-    cs = [np.zeros(cfg.lstm_units, dtype=dtype) for _ in weights.lstm]
-    for label in real:
-        x = weights.emb[label]
-        for li, layer in enumerate(weights.lstm):
-            hs[li], cs[li] = lstm_cell(x, hs[li], cs[li], layer)
-            x = hs[li]
-    return hs[-1]
+    tanh_c = np.tanh(c_new)
+    h_cell = o * tanh_c
+    if cache is not None:
+        cache.append((x, h, c, i, f, g, o, tanh_c, h_cell))
+    return h_cell @ layer.w_p, c_new
 
 
 def prediction_forward(
-    state: PredictionState, weights: ModelWeights, config: DecoderConfig
+    state: PredictionState, weights: ModelWeights, config: DecoderConfig, cache=None
 ) -> np.ndarray:
-    """Prediction-network output g_u for the given history window."""
+    """Prediction-network output g_u for the given history window.
+
+    ``cache``, when given, is a list that receives what the backward pass
+    (``backprop.backprop_decoder``) needs from this call: ``(avg, z, y)``,
+    the head average, projection and LayerNorm output, for reduced; a list
+    of every ``lstm_cell`` activation, step by step and layer by layer, for
+    lstm; nothing for the two embedding variants, whose backward pass needs
+    only the history ids.
+    """
     check_variant(weights, config)
     if len(state) != config.history_len:
         raise DomainError(f"state holds {len(state)} ids, config expects {config.history_len}")
@@ -138,13 +132,32 @@ def prediction_forward(
         E = embed(state, weights)
         avg = predict_multi_head(E, weights.positions)
         z = avg @ weights.proj_w + weights.proj_b
-        return swish(layer_norm(z, weights.ln_gamma, weights.ln_beta))
+        y = layer_norm(z, weights.ln_gamma, weights.ln_beta)
+        if cache is not None:
+            cache.append((avg, z, y))
+        return swish(y)
     if config.variant == STATELESS_1EMB:
         return embed(state, weights)[0]
     if config.variant == CONCAT_2EMB:
         return embed(state, weights).reshape(-1)
     assert config.variant == LSTM
-    return _lstm_forward(state.ids, weights)
+    # The stacked LSTM runs over the non-pad labels, oldest first.  Pads are
+    # skipped, so a fresh state yields the zero vector; the recurrent state
+    # always starts from zero at the window boundary.
+    cells = None
+    if cache is not None:
+        cells = []
+        cache.append(cells)
+    hs = [np.zeros(config.lstm_proj, dtype=weights.dtype) for _ in weights.lstm]
+    cs = [np.zeros(config.lstm_units, dtype=weights.dtype) for _ in weights.lstm]
+    for label in state.ids:
+        if label == config.pad_id:
+            continue
+        x = weights.emb[label]
+        for li, layer in enumerate(weights.lstm):
+            hs[li], cs[li] = lstm_cell(x, hs[li], cs[li], layer, cells)
+            x = hs[li]
+    return hs[-1]
 
 
 def joint_hidden(

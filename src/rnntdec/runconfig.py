@@ -9,20 +9,21 @@ a ``preset`` and override individual fields.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 
-from .config import DecoderConfig, preset
+from .config import DecoderConfig, DictCodec, preset
 from .errors import ConfigError
 from .toy import ToyTaskSpec
 from .train import EmbrParams, Hyperparams
 
 _SECTIONS = ("decoder", "task", "train", "embr", "bench")
 
-_TYPE_MAP = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+_TYPE_MAP = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
 @dataclass
-class BenchConfig:
+class BenchConfig(DictCodec):
     runs: int = 10000
     warmup: int = 0  # 0 means 10% of runs
     dtype: str = "f4"
@@ -54,14 +55,14 @@ class RunConfig:
 
 
 def _check_plain_fields(d: dict, cls, path: str) -> None:
-    known = {f.name: str(f.type) for f in fields(cls)}
+    known = typing.get_type_hints(cls)
     for key, value in d.items():
         if key not in known:
             raise ConfigError(f"{path}.{key}: unknown key")
-        tname = known[key].split("|")[0].strip()
-        expected = _TYPE_MAP.get(tname)
+        expected = _TYPE_MAP.get(known[key])
         if expected is None:
             continue
+        tname = known[key].__name__
         if isinstance(value, bool) and expected != (bool,):
             raise ConfigError(f"{path}.{key}: expected {tname}, got bool")
         if not isinstance(value, expected):
@@ -122,8 +123,8 @@ def _parse_bench(d: dict, path: str) -> BenchConfig:
         name = _decoder_name(entry, i)
         decoders.append((name, _parse_decoder(entry, f"{path}.decoders[{i}]")))
     try:
-        return BenchConfig(decoders=decoders, **d)
-    except TypeError as e:
+        return BenchConfig.from_dict({**d, "decoders": decoders})
+    except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
 
 

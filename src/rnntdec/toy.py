@@ -8,17 +8,18 @@ seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DictCodec
 from .errors import ConfigError, ShapeError
 from .rng import SeededRng
 from .weights import EncoderStub
 
 
 @dataclass(frozen=True)
-class ToyTaskSpec:
+class ToyTaskSpec(DictCodec):
     vocab_size: int = 5
     min_target_len: int = 2
     max_target_len: int = 5
@@ -48,17 +49,6 @@ class ToyTaskSpec:
             raise ConfigError("dev_fraction must be in (0, 1)")
         if self.dataset_size < 2:
             raise ConfigError("dataset_size must be >= 2")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToyTaskSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown task config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass
@@ -100,6 +90,14 @@ def make_toy_dataset(spec: ToyTaskSpec, seed: int) -> tuple[list[Utterance], lis
     train = [utts[i] for i in range(spec.dataset_size) if i not in dev_idx]
     dev = [utts[i] for i in sorted(dev_idx)]
     return train, dev
+
+
+def frames_for(utt: Utterance, weights) -> np.ndarray:
+    """Encoder frames of ``utt``: its features through the model's encoder
+    stub, or the features themselves when the model has none."""
+    if weights.enc_stub is None:
+        return utt.features
+    return toy_encode(utt.features, weights.enc_stub)
 
 
 def toy_encode(features: np.ndarray, stub: EncoderStub) -> np.ndarray:

@@ -9,40 +9,29 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backprop import backprop_decoder, forward_grid, zero_grads
-from .config import DecoderConfig
+from .config import DecoderConfig, DictCodec
 from .decoding import greedy_decode
 from .embr import dataset_risk, edit_distance, embr_batch_grads
 from .errors import ConfigError, DivergenceError, DomainError
 from .lattice import transducer_loss
 from .rng import SeededRng
-from .toy import ToyTaskSpec, Utterance, encode_backward, make_toy_dataset, toy_encode
+from .toy import ToyTaskSpec, Utterance, encode_backward, frames_for, make_toy_dataset
 from .weights import ModelWeights, init_encoder_stub, init_weights, trainable_tensors
 
 
 @dataclass
-class Hyperparams:
+class Hyperparams(DictCodec):
     lr: float = 0.1
     momentum: float = 0.9
     batch_size: int = 4
     epochs: int = 15
     seed: int = 0
     grad_clip: float = 1.0  # global grad-norm ceiling; 0 disables
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Hyperparams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 class SgdMomentum:
@@ -79,10 +68,7 @@ class SgdMomentum:
 
 def utterance_loss_grads(utt: Utterance, weights: ModelWeights, config: DecoderConfig):
     """Transducer loss and gradients for one utterance (features or frames)."""
-    if weights.enc_stub is not None:
-        frames = toy_encode(utt.features, weights.enc_stub)
-    else:
-        frames = utt.features
+    frames = frames_for(utt, weights)
     logits, cache = forward_grid(frames, utt.labels, weights, config)
     result = transducer_loss(logits, utt.labels)
     grads, dframes = backprop_decoder(result.dlogits, cache, weights, config)
@@ -97,30 +83,18 @@ def token_error_rate(
     """Greedy-decode edit distance over reference length, summed over utts."""
     errors = total = 0
     for utt in utts:
-        if weights.enc_stub is not None:
-            frames = toy_encode(utt.features, weights.enc_stub)
-        else:
-            frames = utt.features
-        hyp = greedy_decode(frames, weights, config).labels
+        hyp = greedy_decode(frames_for(utt, weights), weights, config).labels
         errors += edit_distance(hyp, utt.labels)
         total += len(utt.labels)
     return errors / total if total else 0.0
 
 
 @dataclass
-class EpochMetrics:
+class EpochMetrics(DictCodec):
     epoch: int
     loss: float
     dev_token_error_rate: float
     wall_s: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "loss": self.loss,
-            "dev_token_error_rate": self.dev_token_error_rate,
-            "wall_s": self.wall_s,
-        }
 
 
 @dataclass
@@ -197,12 +171,12 @@ def train(
         metrics.append(entry)
         if metrics_path:
             with open(metrics_path, "a") as fh:
-                fh.write(json.dumps(entry.to_json_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
     return TrainResult(weights, metrics, steps, train_set, dev_set)
 
 
 @dataclass
-class EmbrParams:
+class EmbrParams(DictCodec):
     beam_width: int = 4
     steps: int = 0  # 0 means: pick steps as main_steps // 10
     lr: float = 0.02
@@ -212,17 +186,6 @@ class EmbrParams:
     add_reference: bool = False
     posterior_scale: float = 1.0
     grad_clip: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EmbrParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown embr config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 def embr_step(

@@ -1,13 +1,23 @@
 """Model weight storage, initialization, and parameter/FLOP accounting.
 
+``tensor_specs`` is the one table of a model's tensors: their names, shapes,
+initialization and trainability, in archive order.  Initialization, parameter
+counts, the trainable set, clones, gradient accumulators (``backprop``) and
+archives (``model_io``) are all derived from it, so no other code lists the
+tensors of a variant.
+
 Tying is implemented as real aliasing: in a tied model ``out_w`` is a numpy
 view of the non-pad rows of the embedding matrix, so there is a single
-storage location and mutating either view mutates the other.
+storage location and mutating either view mutates the other.  Its table
+entry is an alias with no storage of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,85 +74,144 @@ class ModelWeights:
         return self.emb.dtype
 
     def validate(self) -> None:
-        """Check structural invariants; raises ValidationError."""
+        """Check every tensor's shape against the tensor table, and the pad
+        row, tying alias and finiteness; raises ValidationError."""
         cfg = self.config
-        if self.emb.shape != (cfg.vocab_ext, cfg.d_e):
-            raise ValidationError(f"embedding shape {self.emb.shape} != {(cfg.vocab_ext, cfg.d_e)}")
+        for spec in specs_of(self):
+            arr = get_tensor(self, spec.name)
+            if arr.shape != spec.shape:
+                raise ValidationError(f"{spec.name} shape {arr.shape} != {spec.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"non-finite entries in {spec.name}")
         if np.any(self.emb[cfg.pad_id] != 0.0):
             raise ValidationError("start-pad embedding row must be all zeros")
-        if cfg.tied:
-            if self.out_w.base is None or not np.shares_memory(self.out_w, self.emb):
-                raise ValidationError("tied model must alias out_w to the embedding rows")
-        elif self.out_w.shape != (cfg.vocab_size, cfg.d_h):
-            raise ValidationError(f"out_w shape {self.out_w.shape} != {(cfg.vocab_size, cfg.d_h)}")
-        for name in ("emb", "enc_w", "pred_w", "joint_b", "out_w", "blank_w", "out_b"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValidationError(f"non-finite entries in {name}")
+        if cfg.tied and (self.out_w.base is None or not np.shares_memory(self.out_w, self.emb)):
+            raise ValidationError("tied model must alias out_w to the embedding rows")
 
-    def tie_output(self) -> None:
-        """(Re)install the output alias; no-op for untied models."""
-        if self.config.tied:
-            self.out_w = self.emb[: self.config.vocab_size]
+
+class TensorSpec(NamedTuple):
+    """One tensor of a model.
+
+    ``name`` keys the tensor in archives, gradients and the trainable set.
+    ``init`` is ``"normal"`` (Gaussian with std ``1/sqrt(fan_in)``),
+    ``"zeros"`` or ``"ones"``.  An ``alias`` names the stored tensor whose
+    rows this one views; an alias has no storage of its own.
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    init: str
+    fan_in: int
+    trainable: bool
+    alias: str | None = None
+
+
+def _normal(name, shape, fan_in, trainable=True, alias=None) -> TensorSpec:
+    return TensorSpec(name, shape, "normal", fan_in, trainable, alias)
+
+
+def _const(name, shape, init="zeros") -> TensorSpec:
+    return TensorSpec(name, shape, init, 0, True)
 
 
 def _lstm_in_dim(config: DecoderConfig, layer: int) -> int:
     return config.d_e if layer == 0 else config.lstm_proj
 
 
+@lru_cache(maxsize=64)
+def tensor_specs(config: DecoderConfig, d_feat: int | None = None) -> tuple[TensorSpec, ...]:
+    """Every tensor of a ``config`` model, in archive order.
+
+    With ``d_feat`` the table ends with the encoder stub that maps
+    ``d_feat``-wide features to frames.  Frozen position vectors are listed
+    with ``trainable=False``; a tied ``out_w`` is an alias of ``emb``.
+    """
+    c = config
+    specs = [_normal("emb", (c.vocab_ext, c.d_e), c.d_e)]
+    if c.variant == REDUCED:
+        specs += [
+            _normal("positions", (c.num_heads, c.history_len, c.d_e), c.d_e, c.position_trainable),
+            _normal("proj_w", (c.d_e, c.d_e), c.d_e),
+            _const("proj_b", (c.d_e,)),
+            _const("ln_gamma", (c.d_e,), "ones"),
+            _const("ln_beta", (c.d_e,)),
+        ]
+    elif c.variant == LSTM:
+        gates = 4 * c.lstm_units
+        for i in range(c.lstm_layers):
+            in_dim = _lstm_in_dim(c, i)
+            specs += [
+                _normal(f"lstm{i}_w_x", (in_dim, gates), in_dim),
+                _normal(f"lstm{i}_w_h", (c.lstm_proj, gates), c.lstm_proj),
+                _const(f"lstm{i}_bias", (gates,)),
+                _normal(f"lstm{i}_w_p", (c.lstm_units, c.lstm_proj), c.lstm_units),
+            ]
+    specs += [
+        _normal("enc_w", (c.d_enc, c.d_h), c.d_enc),
+        _normal("pred_w", (c.pn_out_dim, c.d_h), c.pn_out_dim),
+        _const("joint_b", (c.d_h,)),
+        _normal("out_w", (c.vocab_size, c.d_h), c.d_h, alias="emb" if c.tied else None),
+        _normal("blank_w", (c.d_h,), c.d_h),
+        _const("out_b", (c.vocab_ext,)),
+    ]
+    if d_feat is not None:
+        specs += [_normal("enc_stub_w", (d_feat, c.d_enc), d_feat), _const("enc_stub_b", (c.d_enc,))]
+    return tuple(specs)
+
+
+def specs_of(weights: ModelWeights) -> tuple[TensorSpec, ...]:
+    """The tensor table of ``weights``, its encoder stub included."""
+    stub = weights.enc_stub
+    return tensor_specs(weights.config, None if stub is None else stub.w.shape[0])
+
+
+def get_tensor(weights: ModelWeights, name: str) -> np.ndarray:
+    """The array a table entry names, e.g. ``lstm1_w_h`` or ``enc_stub_b``."""
+    if name.startswith("lstm"):
+        layer, attr = name[4:].split("_", 1)
+        return getattr(weights.lstm[int(layer)], attr)
+    if name.startswith("enc_stub_"):
+        return getattr(weights.enc_stub, name[9:])
+    return getattr(weights, name)
+
+
+def weights_from_tensors(config: DecoderConfig, arrays: dict[str, np.ndarray]) -> ModelWeights:
+    """ModelWeights holding ``arrays`` (stored tensors by table name), with
+    the tying alias installed.  Takes ownership of the arrays."""
+
+    def group(prefix):
+        return {n[len(prefix):]: a for n, a in arrays.items() if n.startswith(prefix)}
+
+    lstm: list[LstmLayer] = []
+    while group(f"lstm{len(lstm)}_"):
+        lstm.append(LstmLayer(**group(f"lstm{len(lstm)}_")))
+    stub = group("enc_stub_")
+    own = {n: a for n, a in arrays.items() if not n.startswith(("lstm", "enc_stub_"))}
+    if config.tied:
+        own["out_w"] = own["emb"][: config.vocab_size]
+    return ModelWeights(config=config, **own, lstm=lstm, enc_stub=EncoderStub(**stub) if stub else None)
+
+
 def init_weights(config: DecoderConfig, seed: int, dtype=np.float64) -> ModelWeights:
-    """Deterministic Gaussian init: std 1/sqrt(fan_in) per tensor.
+    """Deterministic init from the tensor table: Gaussian tensors are drawn
+    from one ``SeededRng(seed)`` stream.
 
     Position vectors are drawn once and stay fixed unless
     ``config.position_trainable`` is set.  The pad embedding row is zeroed.
     """
     rng = SeededRng(seed)
-
-    def gauss(shape, fan_in):
-        return rng.normal(shape, std=1.0 / np.sqrt(fan_in), dtype=dtype)
-
-    def zeros(shape):
-        return np.zeros(shape, dtype=dtype)
-
-    cfg = config
-    emb = gauss((cfg.vocab_ext, cfg.d_e), cfg.d_e)
-    emb[cfg.pad_id] = 0.0
-
-    positions = proj_w = proj_b = ln_gamma = ln_beta = None
-    lstm: list[LstmLayer] = []
-    if cfg.variant == REDUCED:
-        positions = gauss((cfg.num_heads, cfg.history_len, cfg.d_e), cfg.d_e)
-        proj_w = gauss((cfg.d_e, cfg.d_e), cfg.d_e)
-        proj_b = zeros(cfg.d_e)
-        ln_gamma = np.ones(cfg.d_e, dtype=dtype)
-        ln_beta = zeros(cfg.d_e)
-    elif cfg.variant == LSTM:
-        for layer in range(cfg.lstm_layers):
-            in_dim = _lstm_in_dim(cfg, layer)
-            lstm.append(
-                LstmLayer(
-                    w_x=gauss((in_dim, 4 * cfg.lstm_units), in_dim),
-                    w_h=gauss((cfg.lstm_proj, 4 * cfg.lstm_units), cfg.lstm_proj),
-                    bias=zeros(4 * cfg.lstm_units),
-                    w_p=gauss((cfg.lstm_units, cfg.lstm_proj), cfg.lstm_units),
-                )
-            )
-
-    enc_w = gauss((cfg.d_enc, cfg.d_h), cfg.d_enc)
-    pred_w = gauss((cfg.pn_out_dim, cfg.d_h), cfg.pn_out_dim)
-    joint_b = zeros(cfg.d_h)
-    blank_w = gauss(cfg.d_h, cfg.d_h)
-    out_b = zeros(cfg.vocab_ext)
-    if cfg.tied:
-        out_w = emb[: cfg.vocab_size]
-    else:
-        out_w = gauss((cfg.vocab_size, cfg.d_h), cfg.d_h)
-
-    return ModelWeights(
-        config=cfg, emb=emb, enc_w=enc_w, pred_w=pred_w, joint_b=joint_b,
-        out_w=out_w, blank_w=blank_w, out_b=out_b, positions=positions,
-        proj_w=proj_w, proj_b=proj_b, ln_gamma=ln_gamma, ln_beta=ln_beta,
-        lstm=lstm,
-    )
+    arrays = {}
+    # out_w is drawn last, after blank_w: the draw order fixes every seed's
+    # weights, so it must not change
+    for spec in sorted(tensor_specs(config), key=lambda s: s.name == "out_w"):
+        if spec.alias is not None:
+            continue
+        if spec.init == "normal":
+            arrays[spec.name] = rng.normal(spec.shape, std=1.0 / np.sqrt(spec.fan_in), dtype=dtype)
+        else:
+            arrays[spec.name] = (np.ones if spec.init == "ones" else np.zeros)(spec.shape, dtype=dtype)
+    arrays["emb"][config.pad_id] = 0.0
+    return weights_from_tensors(config, arrays)
 
 
 def init_encoder_stub(d_feat: int, d_enc: int, seed: int, dtype=np.float64) -> EncoderStub:
@@ -158,27 +227,10 @@ def param_count(config: DecoderConfig) -> dict[str, int]:
     parameter).  In tied mode the non-blank output rows cost nothing extra,
     which is exactly ``d_h * vocab_size`` fewer parameters than untied.
     """
-    cfg = config
-    counts: dict[str, int] = {"embedding": cfg.vocab_size * cfg.d_e}
-    if cfg.variant == REDUCED:
-        counts["positions"] = cfg.num_heads * cfg.history_len * cfg.d_e
-        counts["proj_w"] = cfg.d_e * cfg.d_e
-        counts["proj_b"] = cfg.d_e
-        counts["ln_gamma"] = cfg.d_e
-        counts["ln_beta"] = cfg.d_e
-    elif cfg.variant == LSTM:
-        for layer in range(cfg.lstm_layers):
-            in_dim = _lstm_in_dim(cfg, layer)
-            counts[f"lstm{layer}_w_x"] = in_dim * 4 * cfg.lstm_units
-            counts[f"lstm{layer}_w_h"] = cfg.lstm_proj * 4 * cfg.lstm_units
-            counts[f"lstm{layer}_bias"] = 4 * cfg.lstm_units
-            counts[f"lstm{layer}_w_p"] = cfg.lstm_units * cfg.lstm_proj
-    counts["enc_w"] = cfg.d_enc * cfg.d_h
-    counts["pred_w"] = cfg.pn_out_dim * cfg.d_h
-    counts["joint_b"] = cfg.d_h
-    counts["out_w"] = 0 if cfg.tied else cfg.vocab_size * cfg.d_h
-    counts["blank_w"] = cfg.d_h
-    counts["out_b"] = cfg.vocab_ext
+    counts = {
+        s.name: 0 if s.alias else math.prod(s.shape) for s in tensor_specs(config)
+    }
+    counts = {"embedding": counts.pop("emb") - config.d_e, **counts}
     counts["total"] = sum(counts.values())
     return counts
 
@@ -223,68 +275,25 @@ def step_flops(config: DecoderConfig) -> int:
 
 
 def trainable_tensors(weights: ModelWeights) -> dict[str, np.ndarray]:
-    """Name -> array for every trainable tensor, in a fixed order.
+    """Name -> array for every trainable tensor, in archive order.
 
     Tied models expose no separate ``out_w`` entry (its storage is ``emb``);
     frozen position vectors are excluded unless ``position_trainable``.
     The pad embedding row is included in ``emb`` but its gradient is always
     zero, so updates never move it.
     """
-    cfg = weights.config
-    out: dict[str, np.ndarray] = {"emb": weights.emb}
-    if cfg.variant == REDUCED:
-        if cfg.position_trainable:
-            out["positions"] = weights.positions
-        out["proj_w"] = weights.proj_w
-        out["proj_b"] = weights.proj_b
-        out["ln_gamma"] = weights.ln_gamma
-        out["ln_beta"] = weights.ln_beta
-    elif cfg.variant == LSTM:
-        for i, layer in enumerate(weights.lstm):
-            out[f"lstm{i}_w_x"] = layer.w_x
-            out[f"lstm{i}_w_h"] = layer.w_h
-            out[f"lstm{i}_bias"] = layer.bias
-            out[f"lstm{i}_w_p"] = layer.w_p
-    out["enc_w"] = weights.enc_w
-    out["pred_w"] = weights.pred_w
-    out["joint_b"] = weights.joint_b
-    if not cfg.tied:
-        out["out_w"] = weights.out_w
-    out["blank_w"] = weights.blank_w
-    out["out_b"] = weights.out_b
-    if weights.enc_stub is not None:
-        out["enc_stub_w"] = weights.enc_stub.w
-        out["enc_stub_b"] = weights.enc_stub.b
-    return out
+    return {
+        s.name: get_tensor(weights, s.name)
+        for s in specs_of(weights)
+        if s.alias is None and s.trainable
+    }
 
 
 def clone_weights(weights: ModelWeights) -> ModelWeights:
     """Deep copy preserving the tying alias."""
-    cfg = weights.config
-    w = ModelWeights(
-        config=cfg,
-        emb=weights.emb.copy(),
-        enc_w=weights.enc_w.copy(),
-        pred_w=weights.pred_w.copy(),
-        joint_b=weights.joint_b.copy(),
-        out_w=weights.out_w.copy(),
-        blank_w=weights.blank_w.copy(),
-        out_b=weights.out_b.copy(),
-        positions=None if weights.positions is None else weights.positions.copy(),
-        proj_w=None if weights.proj_w is None else weights.proj_w.copy(),
-        proj_b=None if weights.proj_b is None else weights.proj_b.copy(),
-        ln_gamma=None if weights.ln_gamma is None else weights.ln_gamma.copy(),
-        ln_beta=None if weights.ln_beta is None else weights.ln_beta.copy(),
-        lstm=[
-            LstmLayer(l.w_x.copy(), l.w_h.copy(), l.bias.copy(), l.w_p.copy())
-            for l in weights.lstm
-        ],
-        enc_stub=None
-        if weights.enc_stub is None
-        else EncoderStub(weights.enc_stub.w.copy(), weights.enc_stub.b.copy()),
-    )
-    w.tie_output()
-    return w
+    return weights_from_tensors(weights.config, {
+        s.name: get_tensor(weights, s.name).copy() for s in specs_of(weights) if s.alias is None
+    })
 
 
 def check_variant(weights: ModelWeights, config: DecoderConfig) -> None:

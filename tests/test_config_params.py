@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rnntdec import DecoderConfig, init_weights, param_count, preset, step_flops, tied_savings
+from rnntdec import DecoderConfig, SeededRng, init_weights, param_count, preset, step_flops, tied_savings
 from rnntdec.config import PRESET_NAMES
 from rnntdec.errors import ConfigError
 
@@ -117,6 +117,45 @@ class TestInitWeights:
         w = init_weights(tiny_config(), seed=1, dtype=np.float32)
         assert w.emb.dtype == np.float32
         assert w.enc_w.dtype == np.float32
+
+    @pytest.mark.parametrize("variant", ["reduced", "stateless1emb", "concat2emb", "lstm"])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_draws_follow_one_stream_in_fixed_order(self, variant, tied, dtype):
+        # the order of the Gaussian draws fixes every seed's weights: out_w
+        # comes last, after blank_w; zero and one tensors draw nothing
+        cfg = tiny_config(variant, tied=tied)
+        w = init_weights(cfg, seed=11, dtype=dtype)
+        rng = SeededRng(11)
+
+        def gauss(shape, fan_in):
+            return rng.normal(shape, std=1.0 / np.sqrt(fan_in), dtype=dtype)
+
+        emb = gauss((cfg.vocab_ext, cfg.d_e), cfg.d_e)
+        emb[cfg.pad_id] = 0.0
+        expected = {"emb": emb}
+        if variant == "reduced":
+            expected["positions"] = gauss((cfg.num_heads, cfg.history_len, cfg.d_e), cfg.d_e)
+            expected["proj_w"] = gauss((cfg.d_e, cfg.d_e), cfg.d_e)
+            expected["proj_b"] = expected["ln_beta"] = np.zeros(cfg.d_e, dtype=dtype)
+            expected["ln_gamma"] = np.ones(cfg.d_e, dtype=dtype)
+        for i in range(cfg.lstm_layers):
+            in_dim = cfg.d_e if i == 0 else cfg.lstm_proj
+            layer = w.lstm[i]
+            np.testing.assert_array_equal(layer.w_x, gauss((in_dim, 4 * cfg.lstm_units), in_dim))
+            np.testing.assert_array_equal(layer.w_h, gauss((cfg.lstm_proj, 4 * cfg.lstm_units), cfg.lstm_proj))
+            np.testing.assert_array_equal(layer.bias, np.zeros(4 * cfg.lstm_units, dtype=dtype))
+            np.testing.assert_array_equal(layer.w_p, gauss((cfg.lstm_units, cfg.lstm_proj), cfg.lstm_units))
+        expected["enc_w"] = gauss((cfg.d_enc, cfg.d_h), cfg.d_enc)
+        expected["pred_w"] = gauss((cfg.pn_out_dim, cfg.d_h), cfg.pn_out_dim)
+        expected["joint_b"] = np.zeros(cfg.d_h, dtype=dtype)
+        expected["blank_w"] = gauss(cfg.d_h, cfg.d_h)
+        expected["out_b"] = np.zeros(cfg.vocab_ext, dtype=dtype)
+        expected["out_w"] = emb[: cfg.vocab_size] if tied else gauss((cfg.vocab_size, cfg.d_h), cfg.d_h)
+        for name, arr in expected.items():
+            assert getattr(w, name).dtype == dtype
+            np.testing.assert_array_equal(getattr(w, name), arr, err_msg=name)
+        assert len(w.lstm) == cfg.lstm_layers and w.enc_stub is None
 
 
 class TestStepFlops:

@@ -11,6 +11,7 @@ from rnntdec import (
     predict_single_head,
     prediction_forward,
 )
+from rnntdec.backprop import forward_grid
 from rnntdec.errors import ConfigError, DomainError, ShapeError
 from rnntdec.mathops import layer_norm, swish
 
@@ -201,3 +202,16 @@ class TestPredictionForward:
         other = tiny_config("stateless1emb")
         with pytest.raises(ConfigError):
             prediction_forward(PredictionState.initial(other), w, other)
+
+    @pytest.mark.parametrize("variant", ["reduced", "stateless1emb", "concat2emb", "lstm"])
+    def test_training_grid_uses_the_decoder_forward(self, variant):
+        # training must score exactly the prediction outputs decoding produces
+        cfg = tiny_config(variant, tied=True)
+        w = tiny_model(cfg, seed=4)
+        target = [1, 3, 0, 2, 2, 1]
+        frames = SeededRng(5).normal((4, cfg.d_enc))
+        _, cache = forward_grid(frames, target, w, cfg)
+        assert cache.g_stack.shape == (len(target) + 1, cfg.pn_out_dim)
+        for u in range(len(target) + 1):
+            state = PredictionState.from_labels(target[:u], cfg)
+            np.testing.assert_array_equal(cache.g_stack[u], prediction_forward(state, w, cfg))
