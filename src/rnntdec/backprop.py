@@ -1,14 +1,16 @@
 """Hand-derived backpropagation through the joint and prediction networks.
 
 ``forward_grid`` evaluates the full T x (U+1) logits grid for one utterance.
-It runs the decoder's own ``nets.prediction_forward`` once per target
-position, asking it to keep the activations the backward pass needs, so
-training scores exactly the prediction outputs decoding produces.
-``backprop_decoder`` then runs the backward pass over all U+1 histories at
-once (one LSTM history at a time).  Gradients are returned as a flat
-name -> array dict keyed by the tensor table (``weights.tensor_specs``);
-tied models accumulate the output-layer gradient into the embedding
-gradient, and the pad embedding row's gradient is forced to zero.
+It sends the U+1 histories of the target through one batched call of the
+decoder's own ``nets.prediction_forward``, asking it to keep the
+activations the backward pass needs; every row of a batch equals the
+single-history output, so training scores exactly the prediction outputs
+decoding produces.  ``backprop_decoder`` then runs the backward pass over
+all U+1 histories at once (one LSTM history at a time).  Gradients are
+returned as a flat name -> array dict keyed by the tensor table
+(``weights.tensor_specs``); tied models accumulate the output-layer
+gradient into the embedding gradient, and the pad embedding row's gradient
+is forced to zero.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import LSTM, REDUCED, DecoderConfig
-from .errors import StateError
+from .errors import DomainError, StateError
 from .mathops import LN_EPS, sigmoid
-from .nets import PredictionState, prediction_forward
+from .nets import prediction_forward
 from .weights import ModelWeights, check_variant, get_tensor, specs_of
 
 
@@ -29,7 +31,7 @@ class ForwardCache:
     frames: np.ndarray  # (T, d_enc)
     ids: np.ndarray  # (U+1, N) history ids per target position, recent first
     g_stack: np.ndarray  # (U+1, pn_out)
-    pn: list  # what prediction_forward kept for backprop, per history
+    pn: list  # what prediction_forward kept for backprop
     hidden: np.ndarray  # (T, U+1, d_h)
     logits: np.ndarray  # (T, U+1, V+1)
 
@@ -54,12 +56,15 @@ def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: Deco
     Returns (logits (T, U+1, V+1), ForwardCache).
     """
     check_variant(weights, config)
-    states = [PredictionState.initial(config)]
-    for y in target:
-        states.append(states[-1].push(y))
+    labels = np.asarray(target, dtype=np.intp)
+    if labels.ndim != 1 or ((labels < 0) | (labels >= config.vocab_size)).any():
+        raise DomainError(f"target ids must lie in [0, {config.vocab_size})")
+    n = config.history_len
+    padded = np.concatenate([np.full(n, config.pad_id, dtype=np.intp), labels])
+    # row u holds y_{u-1}, ..., y_{u-N}: the history before target position u
+    ids = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
     pn: list = []
-    g_stack = np.stack([prediction_forward(state, weights, config, pn) for state in states])
-    ids = np.array([state.recent_first() for state in states])
+    g_stack = prediction_forward(ids, weights, config, pn)
 
     F = frames @ weights.enc_w  # (T, d_h)
     G = g_stack @ weights.pred_w  # (U+1, d_h)
@@ -122,7 +127,7 @@ def backprop_decoder(
 
 def _reduced_backward(dg, cache: ForwardCache, weights, cfg, grads):
     """All U+1 histories at once; row u of each array belongs to history u."""
-    avg, z, y = (np.stack(a) for a in zip(*cache.pn))
+    ((avg, z, y),) = cache.pn
     E = weights.emb[cache.ids]  # (U+1, N, d_e)
     # swish: g = y * sigmoid(y)
     sig = sigmoid(y)

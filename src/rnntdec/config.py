@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -14,6 +15,10 @@ LSTM = "lstm"
 VARIANTS = (REDUCED, STATELESS_1EMB, CONCAT_2EMB, LSTM)
 
 
+# JSON types accepted for each plain field type; a bool is never a number.
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
 class DictCodec:
     """``to_dict``/``from_dict`` for flat dataclasses: configs and records."""
 
@@ -21,16 +26,29 @@ class DictCodec:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict):
+    def from_dict(cls, d: dict, path: str | None = None):
+        """Build from a JSON object, rejecting unknown keys and plain fields
+        (int, float, bool, str) of the wrong JSON type.  Every error is a
+        ConfigError naming ``path`` (default: the class name), as
+        ``path.key`` when one key is at fault."""
+        path = path or cls.__name__
         if not isinstance(d, dict):
-            raise ConfigError(f"{cls.__name__}: expected an object, got {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+            raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
+        known = typing.get_type_hints(cls)
+        for key, value in d.items():
+            if key not in known:
+                raise ConfigError(f"{path}.{key}: unknown key")
+            expected = _JSON_TYPES.get(known[key])
+            if expected is None:
+                continue
+            if not isinstance(value, expected) or (isinstance(value, bool) and expected != (bool,)):
+                raise ConfigError(
+                    f"{path}.{key}: expected {known[key].__name__}, got {type(value).__name__}"
+                )
         try:
             return cls(**d)
-        except TypeError as e:
-            raise ConfigError(str(e)) from None
+        except (TypeError, ConfigError) as e:
+            raise ConfigError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ labels, its outputs are cached per history window during a decode (the
 dynamic form of the lookup-table conversion below).
 
 Beam search expands its hypotheses in rounds, one batch per round: the
-prediction outputs of every live hypothesis go through one joint call and
-one row-wise log-softmax, and the next frontier is chosen from the
+histories the cache has not seen go through one batched prediction call,
+the prediction outputs of every live hypothesis go through one joint call
+and one row-wise log-softmax, and the next frontier is chosen from the
 (hypotheses x vocabulary) score matrix with ``np.partition``.  Candidates
 tied at the beam's last score are settled by label sequence, so the n-best
 list is the one a full sort by ``(-log_prob, labels)`` would give.
@@ -54,12 +55,14 @@ class GreedyResult:
 
 
 class _PnCache:
-    """Per-decode cache of prediction outputs keyed by history window."""
+    """Per-decode cache of prediction outputs keyed by history window
+    (``PredictionState.ids``: the last N labels, oldest first, pad-filled)."""
 
     def __init__(self, weights: ModelWeights, config: DecoderConfig):
         self.weights = weights
         self.config = config
         self._table: dict[tuple[int, ...], np.ndarray] = {}
+        self._pad = (config.pad_id,) * config.history_len
 
     def get(self, state: PredictionState) -> np.ndarray:
         g = self._table.get(state.ids)
@@ -67,6 +70,17 @@ class _PnCache:
             g = prediction_forward(state, self.weights, self.config)
             self._table[state.ids] = g
         return g
+
+    def rows(self, label_seqs) -> np.ndarray:
+        """Stacked outputs (len(label_seqs), pn_out) for the histories after
+        each label sequence; all misses go through one batched call."""
+        n = self.config.history_len
+        keys = [(self._pad + labels)[-n:] for labels in label_seqs]
+        missing = list(dict.fromkeys(k for k in keys if k not in self._table))
+        if missing:
+            ids = np.array(missing)[:, ::-1]  # recent first
+            self._table.update(zip(missing, prediction_forward(ids, self.weights, self.config)))
+        return np.stack([self._table[k] for k in keys])
 
 
 def greedy_decode(
@@ -143,8 +157,7 @@ def beam_decode(
         next_beams: dict[tuple[int, ...], float] = {}
         frontier = list(beams.items())
         for round_idx in range(last_round + 1):
-            G = np.stack([cache.get(PredictionState.from_labels(labels, config))
-                          for labels, _ in frontier])
+            G = cache.rows([labels for labels, _ in frontier])
             logp = log_softmax(joint_forward(f_t, G, weights, config))
             for (labels, lp), blank_logp in zip(frontier, logp[:, blank].tolist()):
                 blank_lp = lp + blank_logp
@@ -155,10 +168,10 @@ def beam_decode(
                 frontier = _best_extensions(frontier, lps[:, None] + logp[:, :blank], beam_width)
         beams = _top_b(next_beams, beam_width)
 
-    nbest = []
-    for labels, lp in beams.items():
-        state = PredictionState.from_labels(labels, config)
-        nbest.append(Hypothesis(labels, float(lp), state, cache.get(state)))
+    nbest = [
+        Hypothesis(labels, float(lp), PredictionState.from_labels(labels, config), g)
+        for (labels, lp), g in zip(beams.items(), cache.rows(list(beams)))
+    ]
     nbest.sort(key=Hypothesis.sort_key)
     return nbest
 

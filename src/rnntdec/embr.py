@@ -91,6 +91,20 @@ def rescore_exact(frames: np.ndarray, labels, weights: ModelWeights, config: Dec
     return -res.loss, res, cache
 
 
+def _score_nbest(utt, nbest_labels, weights, config, posterior_scale):
+    """Rescore every candidate exactly and take the risk of the list.
+
+    Returns (frames, scored, RiskResult); ``scored[i]`` is
+    ``rescore_exact``'s (log_prob, LossResult, ForwardCache) for candidate i.
+    """
+    frames = frames_for(utt, weights)
+    scored = [rescore_exact(frames, labels, weights, config) for labels in nbest_labels]
+    entries = [
+        Hypothesis(labels, lp) for labels, (lp, _, _) in zip(nbest_labels, scored)
+    ]
+    return frames, scored, embr_risk(NBestList(entries, tuple(utt.labels)), posterior_scale)
+
+
 def utterance_risk(
     utt: Utterance,
     nbest_labels: list[tuple[int, ...]],
@@ -99,12 +113,7 @@ def utterance_risk(
     posterior_scale: float = 1.0,
 ) -> float:
     """Risk of a fixed candidate set under the current weights (no gradient)."""
-    frames = frames_for(utt, weights)
-    entries = [
-        Hypothesis(labels, rescore_exact(frames, labels, weights, config)[0])
-        for labels in nbest_labels
-    ]
-    return embr_risk(NBestList(entries, tuple(utt.labels)), posterior_scale).risk
+    return _score_nbest(utt, nbest_labels, weights, config, posterior_scale)[2].risk
 
 
 def utterance_risk_grads(
@@ -120,12 +129,7 @@ def utterance_risk_grads(
     (log P(h) = -loss(h)) into every trainable tensor, including the encoder
     stub when present.
     """
-    frames = frames_for(utt, weights)
-    scored = [rescore_exact(frames, labels, weights, config) for labels in nbest_labels]
-    entries = [
-        Hypothesis(labels, lp) for labels, (lp, _, _) in zip(nbest_labels, scored)
-    ]
-    result = embr_risk(NBestList(entries, tuple(utt.labels)), posterior_scale)
+    frames, scored, result = _score_nbest(utt, nbest_labels, weights, config, posterior_scale)
     grads = zero_grads(weights)
     dframes_total = np.zeros_like(frames)
     for dlp_h, (_, loss_res, cache) in zip(result.dlog_prob, scored):

@@ -24,14 +24,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, elementwise.
+
+    ``exp(-|x|)`` never overflows; both branches are computed for every
+    element and ``np.where`` picks 1/(1+e) for x >= 0 and e/(1+e) below.
+    """
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 def swish(x: np.ndarray) -> np.ndarray:
@@ -45,22 +45,24 @@ def layer_norm(
     beta: np.ndarray,
     eps: float = LN_EPS,
 ) -> np.ndarray:
-    """(x - mean) / sqrt(pop_var + eps) * gamma + beta.
+    """(x - mean) / sqrt(pop_var + eps) * gamma + beta, over the last axis.
 
+    ``x`` is one vector (D,) or a batch (..., D) normalized row by row.
     Uses the population (1/D) variance, not the sample variance.
     """
     x = np.asarray(x)
     gamma = np.asarray(gamma)
     beta = np.asarray(beta)
-    if x.shape != gamma.shape or x.shape != beta.shape:
+    if x.ndim < 1 or x.shape[-1:] != gamma.shape or x.shape[-1:] != beta.shape:
         raise ShapeError(
             f"layer_norm length mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
     if eps < 0:
         raise ShapeError(f"layer_norm eps must be >= 0, got {eps}")
-    mean = x.mean()
-    var = x.var()  # population variance
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    n = x.shape[-1]
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(d * d, axis=-1, keepdims=True) / n  # population variance
+    return d / np.sqrt(var + eps) * gamma + beta
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -7,14 +7,19 @@ dtype; the blob is their little-endian raw data back to back.  Tied models
 store the embedding matrix once and record the output-layer alias in the
 manifest, so a tied archive is exactly ``d_h * vocab_size`` float slots
 smaller than its untied twin.  Saving is byte-deterministic: sorted manifest
-keys, fixed tensor order.
+keys, fixed tensor order.  Saving is also atomic: the archive is written to
+a temporary file beside the destination and renamed over it, so a failed
+save leaves any earlier archive at that path untouched.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +87,16 @@ def _write_archive(path: str, manifest: dict, tensors) -> None:
         blob.extend(data)
     manifest = {**manifest, "tensors": directory}
     raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "xb") as fh:
             fh.write(struct.pack("<Q", len(raw)) + raw + bytes(blob))
+        os.replace(tmp, path)
     except OSError as e:
         raise ArchiveError(f"cannot write archive {path}: {e}") from e
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)  # gone already unless the write or rename failed
 
 
 def save(
@@ -195,7 +205,7 @@ def _open_archive(path: str, kind: str) -> tuple[ModelArchive, DecoderConfig]:
     if archive.manifest.get("kind") != kind:
         raise UnsupportedFormatError(f"{path}: not a {kind} archive")
     try:
-        return archive, DecoderConfig.from_dict(archive.manifest["config"])
+        return archive, DecoderConfig.from_dict(archive.manifest["config"], "config")
     except (ConfigError, KeyError) as e:
         raise ValidationError(f"{path}: invalid stored config: {e}") from None
 

@@ -2,7 +2,12 @@
 
 The prediction network is a pure function of the last ``history_len``
 non-blank labels, so its output can be cached per history window or
-precomputed into a lookup table.
+precomputed into a lookup table, and many windows can run as one batch.
+``prediction_forward`` takes one window (a ``PredictionState``) or an
+(n, N) matrix of them and runs both through the same batched body; every
+row of a batch equals the single-window output bit for bit, because
+batches use stacked vector-matrix products (never one matrix product,
+which rounds differently) and row-wise LayerNorm and Swish.
 """
 
 from __future__ import annotations
@@ -49,9 +54,6 @@ class PredictionState:
         """Ids ordered y_{u-1}, y_{u-2}, ... (embedding row order)."""
         return self.ids[::-1]
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PredictionState) and self.ids == other.ids
 
@@ -62,28 +64,52 @@ class PredictionState:
         return f"PredictionState({self.ids})"
 
 
-def embed(state: PredictionState, weights: ModelWeights) -> np.ndarray:
-    """(N, d_e) matrix; row n is the embedding of the n-th most recent label."""
+def _id_matrix(history) -> tuple[np.ndarray, bool]:
+    """(n, N) recent-first ids of ``history``, and whether it was one state."""
+    if isinstance(history, PredictionState):
+        return np.array([history.recent_first()]), True
+    ids = np.asarray(history)
+    if ids.ndim != 2 or ids.dtype.kind not in "iu":
+        raise DomainError(
+            f"history must be a state or an (n, N) integer id matrix, got {ids.dtype} {ids.shape}"
+        )
+    return ids, False
+
+
+def embed(history, weights: ModelWeights) -> np.ndarray:
+    """Embeddings of a history window, most recent label first.
+
+    ``history`` is one ``PredictionState``, giving (N, d_e), or an (n, N)
+    recent-first id matrix, giving (n, N, d_e).  Every id must index the
+    embedding table.
+    """
+    ids, single = _id_matrix(history)
     n_rows = weights.emb.shape[0]
-    ids = state.recent_first()
-    for i in ids:
-        if not 0 <= i < n_rows:
-            raise DomainError(f"label id {i} outside embedding table [0, {n_rows})")
-    return weights.emb[list(ids)]
+    outside = (ids < 0) | (ids >= n_rows)
+    if np.count_nonzero(outside):
+        raise DomainError(f"label id {ids[outside][0]} outside embedding table [0, {n_rows})")
+    E = weights.emb[ids]
+    return E[0] if single else E
 
 
 def predict_multi_head(E: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """Multi-head position-weighted embedding average.
 
-    ``E`` is (N, d_e), ``positions`` is (H, N, d_e).  Each head weights
-    embedding n by dot(E_n, P_hn) (no softmax), and the output averages all
-    H*N weighted embeddings into a single d_e vector.
+    ``E`` is (N, d_e) or a batch (n, N, d_e), ``positions`` is (H, N, d_e).
+    Each head weights embedding n by dot(E_n, P_hn) (no softmax), and the
+    output averages all H*N weighted embeddings into a single d_e vector
+    per history.  A batch runs as stacked vector-matrix products, so every
+    row equals the single-history result bit for bit.
     """
-    if positions.ndim != 3 or E.ndim != 2 or positions.shape[1:] != E.shape:
+    if positions.ndim != 3 or E.ndim not in (2, 3) or positions.shape[1:] != E.shape[-2:]:
         raise ShapeError(f"positions {positions.shape} incompatible with embeddings {E.shape}")
-    h, n = positions.shape[0], E.shape[0]
-    head_w = (positions * E[None, :, :]).sum(axis=2)  # (H, N)
-    return (head_w.sum(axis=0) @ E) / (h * n)
+    single = E.ndim == 2
+    if single:
+        E = E[None]
+    h, n = positions.shape[0], E.shape[1]
+    head_w = (positions[None] * E[:, None]).sum(axis=3)  # (n, H, N)
+    avg = np.matmul(head_w.sum(axis=1)[:, None, :], E)[:, 0, :] / (h * n)
+    return avg[0] if single else avg
 
 
 def predict_single_head(E: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -114,46 +140,63 @@ def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LstmLayer, cac
 
 
 def prediction_forward(
-    state: PredictionState, weights: ModelWeights, config: DecoderConfig, cache=None
+    history, weights: ModelWeights, config: DecoderConfig, cache=None
 ) -> np.ndarray:
-    """Prediction-network output g_u for the given history window.
+    """Prediction-network outputs for one history window or a batch of them.
+
+    ``history`` is a ``PredictionState``, giving g_u as (pn_out,), or an
+    (n, N) recent-first id matrix, giving (n, pn_out); a state runs as a
+    batch of one.  Reduced batches run as stacked vector-matrix products and
+    LayerNorm and Swish run row-wise, so every row equals the single-history
+    output bit for bit.  The LSTM runs its histories one after another.
 
     ``cache``, when given, is a list that receives what the backward pass
-    (``backprop.backprop_decoder``) needs from this call: ``(avg, z, y)``,
-    the head average, projection and LayerNorm output, for reduced; a list
-    of every ``lstm_cell`` activation, step by step and layer by layer, for
-    lstm; nothing for the two embedding variants, whose backward pass needs
-    only the history ids.
+    (``backprop.backprop_decoder``) needs from this call: for reduced, one
+    tuple ``(avg, z, y)`` of (n, ·) arrays, the head averages, projections
+    and LayerNorm outputs; for lstm, one list per history of every
+    ``lstm_cell`` activation, step by step and layer by layer; nothing for
+    the two embedding variants, whose backward pass needs only the ids.
     """
     check_variant(weights, config)
-    if len(state) != config.history_len:
-        raise DomainError(f"state holds {len(state)} ids, config expects {config.history_len}")
+    ids, single = _id_matrix(history)
+    if ids.shape[1] != config.history_len:
+        raise DomainError(f"history holds {ids.shape[1]} ids, config expects {config.history_len}")
+    E = embed(ids, weights)  # (n, N, d_e)
     if config.variant == REDUCED:
-        E = embed(state, weights)
         avg = predict_multi_head(E, weights.positions)
-        z = avg @ weights.proj_w + weights.proj_b
+        z = np.matmul(avg[:, None, :], weights.proj_w)[:, 0, :] + weights.proj_b
         y = layer_norm(z, weights.ln_gamma, weights.ln_beta)
         if cache is not None:
             cache.append((avg, z, y))
-        return swish(y)
-    if config.variant == STATELESS_1EMB:
-        return embed(state, weights)[0]
-    if config.variant == CONCAT_2EMB:
-        return embed(state, weights).reshape(-1)
-    assert config.variant == LSTM
-    # The stacked LSTM runs over the non-pad labels, oldest first.  Pads are
-    # skipped, so a fresh state yields the zero vector; the recurrent state
-    # always starts from zero at the window boundary.
+        out = swish(y)
+    elif config.variant == STATELESS_1EMB:
+        out = E[:, 0]
+    elif config.variant == CONCAT_2EMB:
+        out = E.reshape(len(ids), -1)
+    else:
+        assert config.variant == LSTM
+        out = np.stack([_lstm_history(row, E[r], weights, config, cache)
+                        for r, row in enumerate(ids.tolist())])
+    return out[0] if single else out
+
+
+def _lstm_history(ids, E, weights: ModelWeights, config: DecoderConfig, cache):
+    """Stacked-LSTM output for one history; ``E`` holds its embeddings.
+
+    The LSTM runs over the non-pad labels, oldest first.  Pads are skipped,
+    so a fresh state yields the zero vector; the recurrent state always
+    starts from zero at the window boundary.
+    """
     cells = None
     if cache is not None:
         cells = []
         cache.append(cells)
     hs = [np.zeros(config.lstm_proj, dtype=weights.dtype) for _ in weights.lstm]
     cs = [np.zeros(config.lstm_units, dtype=weights.dtype) for _ in weights.lstm]
-    for label in state.ids:
-        if label == config.pad_id:
+    for k in range(len(ids) - 1, -1, -1):
+        if ids[k] == config.pad_id:
             continue
-        x = weights.emb[label]
+        x = E[k]
         for li, layer in enumerate(weights.lstm):
             hs[li], cs[li] = lstm_cell(x, hs[li], cs[li], layer, cells)
             x = hs[li]

@@ -9,7 +9,6 @@ a ``preset`` and override individual fields.
 from __future__ import annotations
 
 import json
-import typing
 from dataclasses import dataclass
 
 from .config import DecoderConfig, DictCodec, preset
@@ -18,8 +17,6 @@ from .toy import ToyTaskSpec
 from .train import EmbrParams, Hyperparams
 
 _SECTIONS = ("decoder", "task", "train", "embr", "bench")
-
-_TYPE_MAP = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
 @dataclass
@@ -54,21 +51,6 @@ class RunConfig:
             raise ConfigError(f"config is missing required section(s): {', '.join(missing)}")
 
 
-def _check_plain_fields(d: dict, cls, path: str) -> None:
-    known = typing.get_type_hints(cls)
-    for key, value in d.items():
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key")
-        expected = _TYPE_MAP.get(known[key])
-        if expected is None:
-            continue
-        tname = known[key].__name__
-        if isinstance(value, bool) and expected != (bool,):
-            raise ConfigError(f"{path}.{key}: expected {tname}, got bool")
-        if not isinstance(value, expected):
-            raise ConfigError(f"{path}.{key}: expected {tname}, got {type(value).__name__}")
-
-
 def _parse_decoder(d, path: str) -> DecoderConfig:
     if isinstance(d, str):
         return preset(d)
@@ -81,11 +63,7 @@ def _parse_decoder(d, path: str) -> DecoderConfig:
         merged = preset(base).to_dict()
         merged.update(d)
         d = merged
-    _check_plain_fields(d, DecoderConfig, path)
-    try:
-        return DecoderConfig.from_dict(d)
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    return DecoderConfig.from_dict(d, path)
 
 
 def _decoder_name(entry, index: int) -> str:
@@ -100,16 +78,6 @@ def _decoder_name(entry, index: int) -> str:
     return f"decoder{index}"
 
 
-def _parse_section(d: dict, cls, path: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_plain_fields(d, cls, path)
-    try:
-        return cls.from_dict(d)
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
 def _parse_bench(d: dict, path: str) -> BenchConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -117,15 +85,11 @@ def _parse_bench(d: dict, path: str) -> BenchConfig:
     decoder_entries = d.pop("decoders", [])
     if not isinstance(decoder_entries, list):
         raise ConfigError(f"{path}.decoders: expected a list")
-    _check_plain_fields(d, BenchConfig, path)
     decoders = []
     for i, entry in enumerate(decoder_entries):
         name = _decoder_name(entry, i)
         decoders.append((name, _parse_decoder(entry, f"{path}.decoders[{i}]")))
-    try:
-        return BenchConfig.from_dict({**d, "decoders": decoders})
-    except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    return BenchConfig.from_dict({**d, "decoders": decoders}, path)
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -138,11 +102,11 @@ def parse_run_config(doc: dict) -> RunConfig:
     if "decoder" in doc:
         cfg.decoder = _parse_decoder(doc["decoder"], "decoder")
     if "task" in doc:
-        cfg.task = _parse_section(doc["task"], ToyTaskSpec, "task")
+        cfg.task = ToyTaskSpec.from_dict(doc["task"], "task")
     if "train" in doc:
-        cfg.train = _parse_section(doc["train"], Hyperparams, "train")
+        cfg.train = Hyperparams.from_dict(doc["train"], "train")
     if "embr" in doc:
-        cfg.embr = _parse_section(doc["embr"], EmbrParams, "embr")
+        cfg.embr = EmbrParams.from_dict(doc["embr"], "embr")
     if "bench" in doc:
         cfg.bench = _parse_bench(doc["bench"], "bench")
     return cfg

@@ -9,7 +9,7 @@ import numpy as np
 from rnntdec import DecoderConfig, SeededRng
 from rnntdec.backprop import backprop_decoder, forward_grid
 from rnntdec.lattice import transducer_loss
-from rnntdec.mathops import log_softmax, logaddexp
+from rnntdec.mathops import LN_EPS, log_softmax, logaddexp
 from rnntdec.nets import PredictionState, joint_forward, prediction_forward
 from rnntdec.toy import Utterance, encode_backward
 from rnntdec.train import utterance_loss_grads
@@ -54,6 +54,24 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function filled through boolean masks: 1 / (1 + exp(-x))
+    where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    x = np.asarray(x)
+    out = np.empty_like(x, dtype=x.dtype)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def vector_layer_norm(x: np.ndarray, gamma, beta, eps: float = LN_EPS) -> np.ndarray:
+    """LayerNorm of one vector through ``ndarray.mean`` and ``ndarray.var``
+    (population variance)."""
+    return (x - x.mean()) / np.sqrt(x.var() + eps) * gamma + beta
 
 
 def enumerate_alignment_ll(log_probs: np.ndarray, target) -> float:

@@ -65,6 +65,14 @@ class TestParams:
         assert err.startswith("error[schema]")
         assert "decoder.d_x" in err
 
+    def test_wrong_field_type_rejected_with_path(self, tmp_path, capsys):
+        cfg = write(tmp_path, "bad.json", {"decoder": {"variant": "reduced", "vocab_size": 4,
+                                                       "d_e": 4.0, "d_h": 4}})
+        assert main(["params", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[schema]")
+        assert "decoder.d_e: expected int, got float" in err
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.json", {"decoderz": {}})
         assert main(["params", cfg]) == 2

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnntdec import SeededRng, layer_norm, log_softmax, matmul, swish
+from rnntdec import SeededRng, layer_norm, log_softmax, matmul, sigmoid, swish
 from rnntdec.errors import ShapeError
 
-from helpers import naive_matmul
+from helpers import masked_sigmoid, naive_matmul, vector_layer_norm
 
 
 class TestMatmul:
@@ -93,6 +93,49 @@ class TestSwish:
     def test_large_negative_is_stable(self):
         out = swish(np.array([-1000.0]))
         assert np.isfinite(out).all() and abs(out[0]) < 1e-6
+
+
+ORACLE_DTYPES = [np.float64, np.float32]
+ORACLE_SIZES = [8, 32, 320, 333]
+
+
+def oracle_inputs(D, dtype, scales):
+    """64 random D-vectors, cycling through ``scales`` for their magnitude."""
+    rng = np.random.default_rng(D)
+    scale = np.resize(np.asarray(scales, dtype=np.float64), 64)[:, None]
+    return (rng.normal(size=(64, D)) * scale).astype(dtype)
+
+
+class TestSameBitsAsOracles:
+    """The row-wise forms give exactly the bits of the oracles in helpers.py,
+    and every row of a batched call equals the call on that row alone."""
+
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES)
+    @pytest.mark.parametrize("D", ORACLE_SIZES)
+    def test_layer_norm(self, D, dtype):
+        X = oracle_inputs(D, dtype, [0.01, 1.0, 3.0, 100.0])
+        gamma, beta = np.random.default_rng(D + 1).normal(size=(2, D)).astype(dtype)
+        for x in X:
+            np.testing.assert_array_equal(layer_norm(x, gamma, beta), vector_layer_norm(x, gamma, beta))
+        batch = layer_norm(X, gamma, beta)
+        assert batch.shape == X.shape and batch.dtype == X.dtype
+        for row, x in zip(batch, X):
+            np.testing.assert_array_equal(row, layer_norm(x, gamma, beta))
+
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES)
+    @pytest.mark.parametrize("D", ORACLE_SIZES)
+    def test_sigmoid(self, D, dtype):
+        X = oracle_inputs(D, dtype, [1.0, 5.0, 30.0, 1000.0])
+        for x in X:
+            np.testing.assert_array_equal(sigmoid(x), masked_sigmoid(x))
+        batch = sigmoid(X)
+        assert batch.dtype == X.dtype
+        for row, x in zip(batch, X):
+            np.testing.assert_array_equal(row, sigmoid(x))
+
+    def test_layer_norm_rejects_a_mismatched_row_length(self):
+        with pytest.raises(ShapeError):
+            layer_norm(np.zeros((4, 3)), np.ones(4), np.zeros(4))
 
 
 class TestLogSoftmax:

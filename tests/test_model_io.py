@@ -1,10 +1,13 @@
+import errno
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+import rnntdec.model_io
 from rnntdec import convert_to_lookup, init_weights, load, load_lookup, read_archive, save, save_lookup
 from rnntdec.cli import main
 from rnntdec.errors import (
@@ -161,6 +164,66 @@ def test_malformed_manifest_entry_is_typed_error(mutate, error, tmp_path):
     with pytest.raises(error):
         load(path)
     assert main(["decode", path, str(tmp_path / "unused.json")]) == 3
+
+
+@pytest.mark.parametrize(
+    "cfg, field, value",
+    [(tiny_config(tied=True), "d_e", 5.0), (tiny_config(history_len=1), "history_len", True)],
+    ids=["float-d_e", "bool-history_len"],
+)
+def test_wrongly_typed_stored_config_is_validation_error(cfg, field, value, tmp_path):
+    # each value equals the stored one (5.0 == 5, True == 1), so only the
+    # type check can refuse it
+    path = str(tmp_path / "m")
+    save(init_weights(cfg, seed=0), cfg, path)
+    rewrite_manifest(path, lambda m: m["config"].update({field: value}))
+    with pytest.raises(ValidationError, match=f"config.{field}: expected"):
+        load(path)
+    assert main(["decode", path, str(tmp_path / "unused.json")]) == 3
+
+
+class _FailingWriter:
+    """File stand-in that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("kind", ["model", "lookup"])
+def test_failed_save_keeps_the_old_archive(kind, tmp_path, monkeypatch):
+    cfg = tiny_config(vocab_size=3, history_len=2, num_heads=1)
+    w = init_weights(cfg, seed=4)
+    path = str(tmp_path / "archive")
+
+    def write():
+        if kind == "model":
+            save(w, cfg, path)
+        else:
+            save_lookup(convert_to_lookup(w, cfg), cfg, path)
+
+    write()
+    before = open(path, "rb").read()
+    w.emb[0, 0] += 1.0  # the new archive would differ from the old one
+    real_open = open
+    monkeypatch.setattr(rnntdec.model_io, "open",
+                        lambda p, mode="r": _FailingWriter(real_open(p, mode)), raising=False)
+    with pytest.raises(ArchiveError, match="No space left"):
+        write()
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["archive"]
+    write()
+    assert open(path, "rb").read() != before
 
 
 def test_unknown_optional_fields_survive_resave(tmp_path):
