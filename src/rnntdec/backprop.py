@@ -11,6 +11,22 @@ returned as a flat name -> array dict keyed by the tensor table
 (``weights.tensor_specs``); tied models accumulate the output-layer
 gradient into the embedding gradient, and the pad embedding row's gradient
 is forced to zero.
+
+Grid buffers of one utterance, each (T, U+1, width), every elementwise step
+done in place in one of them:
+
+- ``hidden`` (d_h): ``forward_grid`` adds, biases and tanhs it in one
+  buffer and keeps it in the ``ForwardCache``; ``backprop_decoder`` then
+  overwrites it with ``1 - hidden**2``, so a cache serves one backward pass.
+- ``logits`` (V+1): ``forward_grid``'s result (and, for f4 models, the
+  float64 copy ``transducer_loss`` takes).
+- ``lp`` (V+1): ``lattice.transducer_loss``'s log-probabilities; their
+  buffer becomes ``dlogits``.  ``log_softmax`` briefly holds one more V+1
+  grid for its ``exp``.
+- ``d_pre`` (d_h): ``backprop_decoder``'s ``dlogits @ out_full``, scaled in
+  place by the tanh derivative.
+
+So at most two d_h-wide grids are live at once.
 """
 
 from __future__ import annotations
@@ -32,8 +48,7 @@ class ForwardCache:
     ids: np.ndarray  # (U+1, N) history ids per target position, recent first
     g_stack: np.ndarray  # (U+1, pn_out)
     pn: list  # what prediction_forward kept for backprop
-    hidden: np.ndarray  # (T, U+1, d_h)
-    logits: np.ndarray  # (T, U+1, V+1)
+    hidden: np.ndarray | None  # (T, U+1, d_h); None once a backward pass used it
 
 
 def zero_grads(weights: ModelWeights) -> dict[str, np.ndarray]:
@@ -68,10 +83,13 @@ def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: Deco
 
     F = frames @ weights.enc_w  # (T, d_h)
     G = g_stack @ weights.pred_w  # (U+1, d_h)
-    hidden = np.tanh(F[:, None, :] + G[None, :, :] + weights.joint_b)
+    hidden = np.add(F[:, None, :], G[None, :, :])
+    hidden += weights.joint_b
+    np.tanh(hidden, out=hidden)
     out_full = np.concatenate([weights.out_w, weights.blank_w[None, :]], axis=0)
-    logits = hidden @ out_full.T + weights.out_b
-    return logits, ForwardCache(frames, ids, g_stack, pn, hidden, logits)
+    logits = hidden @ out_full.T
+    logits += weights.out_b
+    return logits, ForwardCache(frames, ids, g_stack, pn, hidden)
 
 
 def backprop_decoder(
@@ -84,24 +102,30 @@ def backprop_decoder(
 
     Returns (grads, dframes): ``grads`` maps tensor names to gradients and
     ``dframes`` is the gradient w.r.t. the encoder frames, for chaining into
-    an encoder.
+    an encoder.  The cache's ``hidden`` grid becomes scratch space, so a
+    second backward pass through the same cache raises StateError.
     """
     check_variant(weights, config)
     if cache is None:
         raise StateError("backprop_decoder needs the cache from forward_grid")
+    if cache.hidden is None:
+        raise StateError("this forward cache was already used by a backward pass")
     cfg = config
     V = cfg.vocab_size
     grads = zero_grads(weights)
 
-    hidden = cache.hidden
+    hidden, cache.hidden = cache.hidden, None
     out_full = np.concatenate([weights.out_w, weights.blank_w[None, :]], axis=0)
-    d_hidden = dlogits @ out_full  # (T, U+1, d_h)
     d_out_full = dlogits.reshape(-1, V + 1).T @ hidden.reshape(-1, cfg.d_h)
     grads["emb" if cfg.tied else "out_w"][:V] += d_out_full[:V]
     grads["blank_w"] += d_out_full[V]
     grads["out_b"] += dlogits.sum(axis=(0, 1))
 
-    d_pre = d_hidden * (1.0 - hidden**2)
+    # d_pre = d_hidden * (1 - hidden**2); 1 - hidden**2 overwrites hidden
+    tanh_grad = np.square(hidden, out=hidden)
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    d_pre = dlogits @ out_full  # d_hidden, (T, U+1, d_h)
+    d_pre *= tanh_grad
     grads["joint_b"] += d_pre.sum(axis=(0, 1))
     dF = d_pre.sum(axis=1)  # (T, d_h)
     grads["enc_w"] += cache.frames.T @ dF

@@ -136,9 +136,9 @@ def utterance_risk_grads(
         if dlp_h == 0.0:
             continue
         # d(risk)/d(logits_h) = dlp_h * d(log P)/d(logits) = -dlp_h * dloss/dlogits
-        h_grads, dframes = backprop_decoder(
-            -dlp_h * loss_res.dlogits, cache, weights, config
-        )
+        dlogits = loss_res.dlogits
+        dlogits *= -dlp_h
+        h_grads, dframes = backprop_decoder(dlogits, cache, weights, config)
         for name, g in h_grads.items():
             grads[name] += g
         dframes_total += dframes

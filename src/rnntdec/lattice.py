@@ -92,7 +92,7 @@ def transducer_loss(
     blank = num_logits - 1
     label_rows = np.arange(U)
     labels = np.asarray(target, dtype=np.intp)
-    lp_blank = lp[:, :, blank]
+    lp_blank = lp[:, :, blank].copy()  # lp's buffer becomes dlogits below
     lp_label = lp[:, label_rows, labels]  # (T, U)
 
     # Blank-run log-probabilities: B[t, u] = sum_{s<t} lp_blank[s, u].
@@ -126,7 +126,8 @@ def transducer_loss(
 
     node_occ = occ_blank.copy()
     node_occ[:, :U] += occ_label
-    dlogits = node_occ[:, :, None] * np.exp(lp)
+    dlogits = np.exp(lp, out=lp)
+    dlogits *= node_occ[:, :, None]
     dlogits[:, :, blank] -= occ_blank
     dlogits[:, label_rows, labels] -= occ_label
 

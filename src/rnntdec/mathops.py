@@ -70,9 +70,10 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits)
     if logits.size == 0:
         raise ShapeError("log_softmax of an empty vector")
-    m = logits.max(axis=-1, keepdims=True)
-    shifted = logits - m
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    # in place unless integer input, whose shifted values are still integers
+    return np.subtract(shifted, lse, out=shifted if shifted.dtype == lse.dtype else None)
 
 
 def logaddexp(a: float, b: float) -> float:

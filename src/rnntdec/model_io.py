@@ -3,7 +3,8 @@
 Layout:  ``[u64 LE manifest length][manifest JSON, UTF-8][blob]``.
 
 The manifest lists every stored tensor with its byte offset, shape, and
-dtype; the blob is their little-endian raw data back to back.  Tied models
+dtype; the blob is their little-endian raw data back to back, and a reader
+rejects entries that overlap or leave blob bytes uncovered.  Tied models
 store the embedding matrix once and record the output-layer alias in the
 manifest, so a tied archive is exactly ``d_h * vocab_size`` float slots
 smaller than its untied twin.  Saving is byte-deterministic: sorted manifest
@@ -128,6 +129,15 @@ def save(
 
 def read_archive(path: str) -> ModelArchive:
     """Read and structurally check an archive without materializing tensors."""
+    archive = _parse_archive(path)
+    _check_layout(path, archive)
+    return archive
+
+
+def _parse_archive(path: str) -> ModelArchive:
+    """``read_archive`` short of the layout check, which the loaders make
+    after the table's shape checks, so a tensor stored with a shape other
+    than the table's is reported as such rather than as a gap."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -164,13 +174,39 @@ def read_archive(path: str) -> ModelArchive:
     blob = raw[8 + manifest_len :]
     for name, entry in tensors.items():
         _check_entry(path, name, entry)
-        end = entry["offset"] + entry["rows"] * entry["cols"] * _DTYPES[entry["dtype"]].itemsize
+        end = _entry_end(entry)
         if end > len(blob):
             raise CorruptArchiveError(
                 f"{path}: tensor {name!r} extends past the end of the blob "
                 f"(needs {end} bytes, blob has {len(blob)})"
             )
     return ModelArchive(manifest, blob)
+
+
+def _entry_end(entry: dict) -> int:
+    return entry["offset"] + entry["rows"] * entry["cols"] * _DTYPES[entry["dtype"]].itemsize
+
+
+def _check_layout(path: str, archive: ModelArchive) -> None:
+    """The tensors must tile the blob exactly: no two share a byte and no
+    byte belongs to none."""
+    spans = sorted(
+        (entry["offset"], _entry_end(entry), name)
+        for name, entry in archive.manifest["tensors"].items()
+    )
+    covered, blob_len = 0, len(archive.blob)
+    for offset, end, name in spans:
+        if offset < covered:
+            raise CorruptArchiveError(f"{path}: tensor {name!r} overlaps the tensor before it")
+        if offset > covered:
+            raise CorruptArchiveError(
+                f"{path}: blob bytes {covered}..{offset} before tensor {name!r} belong to no tensor"
+            )
+        covered = end
+    if covered != blob_len:
+        raise CorruptArchiveError(
+            f"{path}: blob bytes {covered}..{blob_len} after the last tensor belong to no tensor"
+        )
 
 
 def _check_entry(path: str, name: str, entry) -> None:
@@ -201,7 +237,7 @@ def _read_tensor(archive: ModelArchive, path: str, name: str, shape: tuple[int, 
 
 
 def _open_archive(path: str, kind: str) -> tuple[ModelArchive, DecoderConfig]:
-    archive = read_archive(path)
+    archive = _parse_archive(path)
     if archive.manifest.get("kind") != kind:
         raise UnsupportedFormatError(f"{path}: not a {kind} archive")
     try:
@@ -216,7 +252,8 @@ def load(path: str) -> tuple[ModelWeights, DecoderConfig]:
     Every tensor of the config's table (``weights.tensor_specs``) must be
     stored with the table's shape; tensors the table does not name are
     ignored.  Raises UnsupportedFormatError on version mismatch,
-    CorruptArchiveError on a malformed manifest or truncation,
+    CorruptArchiveError on a malformed manifest, truncation or a blob the
+    tensors do not tile exactly,
     ValidationError when a shape or model invariant fails.
     """
     archive, config = _open_archive(path, "model")
@@ -229,6 +266,7 @@ def load(path: str) -> tuple[ModelWeights, DecoderConfig]:
             raise ValidationError(
                 f"{path}: tied model must record the {spec.name} -> {spec.alias} alias"
             )
+    _check_layout(path, archive)
     weights = weights_from_tensors(config, arrays)
     weights.validate()
     return weights, config
@@ -243,4 +281,5 @@ def load_lookup(path: str) -> tuple[LookupTable, DecoderConfig]:
     archive, config = _open_archive(path, "lookup")
     rows = config.vocab_ext**config.history_len
     table = _read_tensor(archive, path, "table", (rows, config.pn_out_dim))
+    _check_layout(path, archive)
     return LookupTable(config.history_len, config.vocab_ext, table), config

@@ -61,28 +61,27 @@ def make_toy_dataset(spec: ToyTaskSpec, seed: int) -> tuple[list[Utterance], lis
     """Generate the corpus and split it into disjoint (train, dev) sets."""
     rng = SeededRng(seed).derive(0x70D47A)
     utts = []
+    frame_choices = spec.frames_per_label_max - spec.frames_per_label_min + 1
     for _ in range(spec.dataset_size):
         length = int(rng.integers(1, spec.min_target_len, spec.max_target_len + 1)[0])
+        # one stream draw per label pick, then one per label's frame count:
+        # the same draws, in the same order, as one integers() call each
+        u = rng.uniform(2 * length)
+        span = np.full(length, spec.vocab_size - 1)
+        span[0] = spec.vocab_size
+        picks = (u[:length] * span).astype(np.int64).tolist()
+        counts = (u[length:] * frame_choices).astype(np.int64) + spec.frames_per_label_min
         # no adjacent repeats: a run of identical one-hot frames must map to
         # exactly one token, otherwise segment counts are ambiguous for any
         # decoder conditioned on label history alone
-        labels: list[int] = []
-        for _ in range(length):
-            pick = int(rng.integers(1, 0, spec.vocab_size - (1 if labels else 0))[0])
-            if labels and pick >= labels[-1]:
-                pick += 1
-            labels.append(pick)
-        rows = []
-        for label in labels:
-            n_frames = int(
-                rng.integers(1, spec.frames_per_label_min, spec.frames_per_label_max + 1)[0]
-            )
-            block = np.zeros((n_frames, spec.feature_dim))
-            block[:, label] = 1.0
-            rows.append(block)
-        features = np.concatenate(rows, axis=0)
+        labels = picks[:1]
+        for pick in picks[1:]:
+            labels.append(pick + (pick >= labels[-1]))
+        n_frames = int(counts.sum())
+        features = np.zeros((n_frames, spec.feature_dim))
+        features[np.arange(n_frames), np.repeat(labels, counts)] = 1.0
         if spec.noise_std > 0:
-            features = features + rng.normal(features.shape, std=spec.noise_std)
+            features += rng.normal(features.shape, std=spec.noise_std)
         utts.append(Utterance(features, labels))
     perm = SeededRng(spec.split_seed).permutation(spec.dataset_size)
     dev_count = max(1, round(spec.dataset_size * spec.dev_fraction))

@@ -74,6 +74,15 @@ def vector_layer_norm(x: np.ndarray, gamma, beta, eps: float = LN_EPS) -> np.nda
     return (x - x.mean()) / np.sqrt(x.var() + eps) * gamma + beta
 
 
+def fresh_log_softmax(logits: np.ndarray) -> np.ndarray:
+    """log_softmax through ``ndarray.max``/``ndarray.sum``, one fresh array
+    per step: shifted = x - max, then shifted - log(sum(exp(shifted)))."""
+    logits = np.asarray(logits)
+    m = logits.max(axis=-1, keepdims=True)
+    shifted = logits - m
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def enumerate_alignment_ll(log_probs: np.ndarray, target) -> float:
     """Brute-force sum over all alignment paths of the standard lattice.
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rnntdec import SeededRng, layer_norm, log_softmax, matmul, sigmoid, swish
 from rnntdec.errors import ShapeError
 
-from helpers import masked_sigmoid, naive_matmul, vector_layer_norm
+from helpers import fresh_log_softmax, masked_sigmoid, naive_matmul, vector_layer_norm
 
 
 class TestMatmul:
@@ -132,6 +132,34 @@ class TestSameBitsAsOracles:
         assert batch.dtype == X.dtype
         for row, x in zip(batch, X):
             np.testing.assert_array_equal(row, sigmoid(x))
+
+    @pytest.mark.parametrize("dtype", ORACLE_DTYPES)
+    @pytest.mark.parametrize("shape", [(9,), (1,), (7, 6), (3, 4097), (14, 5, 6)],
+                             ids=["vector", "one-class", "batch", "wide-batch", "grid"])
+    def test_log_softmax(self, shape, dtype):
+        rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+        x = (rng.normal(size=shape) * rng.choice([0.1, 3.0, 300.0], size=shape)).astype(dtype)
+        before = x.copy()
+        out = log_softmax(x)
+        expected = fresh_log_softmax(x)
+        assert out.dtype == expected.dtype == x.dtype and out.shape == x.shape
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(x, before)  # the caller's array is untouched
+        assert not np.shares_memory(out, x)
+
+    def test_log_softmax_of_a_read_only_view(self):
+        x = np.arange(24.0).reshape(2, 3, 4).transpose(1, 0, 2)
+        x.setflags(write=False)
+        np.testing.assert_array_equal(log_softmax(x), fresh_log_softmax(x))
+
+    @pytest.mark.parametrize("dtype", ["i1", "i2", "i4", "i8"])
+    def test_log_softmax_of_integers_returns_floats(self, dtype):
+        x = np.array([[1, 2, 3, 0], [5, 5, 0, 2]], dtype=dtype)
+        out = log_softmax(x)
+        expected = fresh_log_softmax(x)
+        assert out.dtype.kind == "f" and out.dtype == expected.dtype
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(x, [[1, 2, 3, 0], [5, 5, 0, 2]])
 
     def test_layer_norm_rejects_a_mismatched_row_length(self):
         with pytest.raises(ShapeError):

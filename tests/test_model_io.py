@@ -166,6 +166,41 @@ def test_malformed_manifest_entry_is_typed_error(mutate, error, tmp_path):
     assert main(["decode", path, str(tmp_path / "unused.json")]) == 3
 
 
+def _overlap(manifest, blob):
+    # positions claims emb's first bytes; the blob is unchanged
+    manifest["tensors"]["positions"]["offset"] = manifest["tensors"]["emb"]["offset"]
+    return blob
+
+
+def _gap(manifest, blob):
+    # 8 stray bytes before out_b, whose offset moves past them
+    entry = manifest["tensors"]["out_b"]
+    entry["offset"] += 8
+    return blob[: entry["offset"] - 8] + bytes(8) + blob[entry["offset"] - 8 :]
+
+
+def _trailing(manifest, blob):
+    return blob + bytes(8)
+
+
+@pytest.mark.parametrize("mutate", [_overlap, _gap, _trailing], ids=["overlap", "gap", "trailing-bytes"])
+def test_blob_not_tiled_exactly_is_corruption_error(mutate, tmp_path):
+    cfg = tiny_config(tied=True)
+    path = str(tmp_path / "m")
+    save(init_weights(cfg, seed=0), cfg, path)
+    raw = open(path, "rb").read()
+    (mlen,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8 : 8 + mlen])
+    blob = mutate(manifest, raw[8 + mlen :])
+    enc = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    open(path, "wb").write(struct.pack("<Q", len(enc)) + enc + blob)
+    with pytest.raises(CorruptArchiveError, match="belong to no tensor|overlaps"):
+        read_archive(path)
+    with pytest.raises(CorruptArchiveError):
+        load(path)
+    assert main(["decode", path, str(tmp_path / "unused.json")]) == 3
+
+
 @pytest.mark.parametrize(
     "cfg, field, value",
     [(tiny_config(tied=True), "d_e", 5.0), (tiny_config(history_len=1), "history_len", True)],
