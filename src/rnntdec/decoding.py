@@ -4,22 +4,26 @@ Both decoders are frame-synchronous: at each encoder frame a hypothesis may
 emit up to ``max_symbols_per_frame`` non-blank labels before a blank advances
 time.  Since the prediction network only sees the last ``history_len``
 labels, its outputs are cached per history window during a decode (the
-dynamic form of the lookup-table conversion below).
+dynamic form of the lookup-table conversion below): one slot per window in
+one growable array, read by both decoders.
 
-Beam search expands its hypotheses in rounds, one batch per round: the
-histories the cache has not seen go through one batched prediction call,
-the prediction outputs of every live hypothesis go through one joint call
-and one row-wise log-softmax, and the next frontier is chosen from the
-(hypotheses x vocabulary) score matrix with ``np.partition``.  Candidates
-tied at the beam's last score are settled by label sequence, so the n-best
-list is the one a full sort by ``(-log_prob, labels)`` would give.
+Within one frame the joint output also depends only on the history window,
+so beam search scores each (frame, window) pair once.  It expands its
+hypotheses in rounds, one batch per round: the histories the cache has not
+seen go through one batched prediction call, the windows not yet scored at
+this frame go through one joint call and one row-wise log-softmax into a
+per-frame memo, and every hypothesis's row is gathered from that memo; a
+round whose windows were all scored earlier in the frame makes no network
+call.  The next frontier is chosen from the (hypotheses x vocabulary) score
+matrix with ``np.partition``.  Candidates tied at the beam's last score are
+settled by label sequence, so the n-best list is the one a full sort by
+``(-log_prob, labels)`` would give.
 """
 
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,36 +55,98 @@ class Hypothesis:
 class GreedyResult:
     labels: list[int]
     log_prob: float
-    step_times_ms: list[float] = field(default_factory=list)
 
 
 class _PnCache:
-    """Per-decode cache of prediction outputs keyed by history window
-    (``PredictionState.ids``: the last N labels, oldest first, pad-filled)."""
+    """Per-decode prediction outputs, one slot per history window.
+
+    ``slot`` maps a window (``PredictionState.ids``: the last N labels,
+    oldest first, pad-filled) to its row of ``g``, a (slots, pn_out) array
+    that doubles when full.  Rows are written once and never change.
+    """
 
     def __init__(self, weights: ModelWeights, config: DecoderConfig):
         self.weights = weights
         self.config = config
-        self._table: dict[tuple[int, ...], np.ndarray] = {}
+        self.slot: dict[tuple[int, ...], int] = {}
+        self.g = np.empty((16, config.pn_out_dim), dtype=weights.dtype)
         self._pad = (config.pad_id,) * config.history_len
 
-    def get(self, state: PredictionState) -> np.ndarray:
-        g = self._table.get(state.ids)
-        if g is None:
-            g = prediction_forward(state, self.weights, self.config)
-            self._table[state.ids] = g
-        return g
+    def _append(self, keys, rows: np.ndarray) -> None:
+        start = len(self.slot)
+        end = start + len(keys)
+        if end > len(self.g):
+            grown = np.empty((max(end, 2 * len(self.g)), self.g.shape[1]), dtype=self.g.dtype)
+            grown[:start] = self.g[:start]
+            self.g = grown
+        self.g[start:end] = rows
+        self.slot.update(zip(keys, range(start, end)))
 
-    def rows(self, label_seqs) -> np.ndarray:
-        """Stacked outputs (len(label_seqs), pn_out) for the histories after
-        each label sequence; all misses go through one batched call."""
+    def get(self, state: PredictionState) -> np.ndarray:
+        s = self.slot.get(state.ids)
+        if s is None:
+            s = len(self.slot)
+            self._append([state.ids], prediction_forward(state, self.weights, self.config))
+        return self.g[s]
+
+    def slots(self, label_seqs) -> list[int]:
+        """Slots of the histories after each label sequence; all misses go
+        through one batched prediction call."""
         n = self.config.history_len
         keys = [(self._pad + labels)[-n:] for labels in label_seqs]
-        missing = list(dict.fromkeys(k for k in keys if k not in self._table))
+        missing = [k for k in dict.fromkeys(keys) if k not in self.slot]
         if missing:
             ids = np.array(missing)[:, ::-1]  # recent first
-            self._table.update(zip(missing, prediction_forward(ids, self.weights, self.config)))
-        return np.stack([self._table[k] for k in keys])
+            self._append(missing, prediction_forward(ids, self.weights, self.config))
+        return [self.slot[k] for k in keys]
+
+
+class _FrameMemo:
+    """Log-softmax joint rows of one frame, one per history window scored at it.
+
+    Within a frame the joint output depends only on the window, so a window
+    met again in a later round reads its row back instead of being rescored.
+    ``frame[s]`` is the last frame at which cache slot ``s`` was scored and
+    ``row[s]`` its row of ``logp``.  A frame meets at most
+    ``beam_width * (max_symbols_per_frame + 1)`` windows, which bounds the rows.
+    """
+
+    def __init__(self, cache: _PnCache, rows: int):
+        self.cache = cache
+        self.rows = rows
+        # allocated at the first joint call in its output's dtype, which is f8
+        # for f8 frames on an f4 model
+        self.logp: np.ndarray | None = None
+        self.frame: list[int] = []
+        self.row: list[int] = []
+        self.t = -1
+        self.used = 0
+
+    def next_frame(self, f_t: np.ndarray) -> None:
+        self.f_t = f_t
+        self.t += 1
+        self.used = 0
+
+    def score(self, slots: list[int]) -> np.ndarray:
+        """(len(slots), V+1) log-probs; windows not yet scored at this frame
+        go through one joint call and one log-softmax."""
+        frame, row, t = self.frame, self.row, self.t
+        grow = len(self.cache.slot) - len(frame)
+        if grow > 0:
+            frame.extend([-1] * grow)
+            row.extend([0] * grow)
+        fresh = [s for s in dict.fromkeys(slots) if frame[s] != t]
+        if fresh:
+            cache = self.cache
+            logp = log_softmax(joint_forward(self.f_t, cache.g[fresh], cache.weights, cache.config))
+            if self.logp is None:
+                self.logp = np.empty((self.rows, logp.shape[1]), dtype=logp.dtype)
+            self.logp[self.used:self.used + len(fresh)] = logp
+            for r, s in enumerate(fresh, self.used):
+                frame[s] = t
+                row[s] = r
+            self.used += len(fresh)
+        return self.logp[[row[s] for s in slots]]
 
 
 def greedy_decode(
@@ -98,27 +164,23 @@ def greedy_decode(
     g = cache.get(state)
     labels: list[int] = []
     log_prob = 0.0
-    step_times: list[float] = []
     blank = config.blank_id
     for t in range(enc_frames.shape[0]):
         f_t = enc_frames[t]
         emitted = 0
         while True:
-            t0 = time.perf_counter()
             logp = log_softmax(joint_forward(f_t, g, weights, config))
             k = int(np.argmax(logp))
             log_prob += float(logp[k])
             if k == blank:
-                step_times.append((time.perf_counter() - t0) * 1e3)
                 break
             labels.append(k)
             state = state.push(k)
             g = cache.get(state)
             emitted += 1
-            step_times.append((time.perf_counter() - t0) * 1e3)
             if emitted >= config.max_symbols_per_frame:
                 break
-    return GreedyResult(labels, log_prob, step_times)
+    return GreedyResult(labels, log_prob)
 
 
 def beam_decode(
@@ -129,18 +191,22 @@ def beam_decode(
 ) -> list[Hypothesis]:
     """Time-synchronous beam search with label-sequence merging.
 
-    Each frame runs ``max_symbols_per_frame + 1`` expansion rounds.  A round
-    scores its whole frontier (at most ``beam_width`` hypotheses) with one
-    batched joint call and one row-wise log-softmax.  Every frontier
-    hypothesis takes blank into the next frame's beam, where identical label
-    sequences merge by log-sum-exp of their alignment log-probs.  Except in
-    the last round, the extensions ``lp + logp[:, :V]`` form the next
-    frontier: the ``beam_width`` best by ``(-log_prob, labels)``, found with
-    ``np.partition`` at the B-th score, keeping every candidate tied at that
-    threshold and sorting only those.  Distinct frontier sequences have
-    distinct extensions, so a round's candidates never merge.
+    Each frame runs ``max_symbols_per_frame + 1`` expansion rounds over a
+    frontier of at most ``beam_width`` hypotheses.  A round looks up the
+    log-probs of its frontier's history windows in the frame's memo; the
+    windows not yet scored at this frame go through one batched joint call
+    and one row-wise log-softmax, so each (frame, window) pair is scored
+    once.  Every frontier hypothesis takes blank into the next frame's
+    beam, where identical label sequences merge by log-sum-exp of their
+    alignment log-probs.  Except in the last round, the extensions
+    ``lp + logp[:, :V]`` form the next frontier: the ``beam_width`` best by
+    ``(-log_prob, labels)``, found with ``np.partition`` at the B-th score,
+    keeping every candidate tied at that threshold and sorting only those.
+    Distinct frontier sequences have distinct extensions, so a round's
+    candidates never merge.
 
-    Returns the n-best list sorted by descending log-prob.
+    Returns the n-best list sorted by descending log-prob; each entry's
+    ``pn_out`` is its own array.
     """
     check_variant(weights, config)
     if beam_width < 1:
@@ -151,14 +217,15 @@ def beam_decode(
     cache = _PnCache(weights, config)
     blank = config.blank_id
     last_round = config.max_symbols_per_frame
+    memo = _FrameMemo(cache, beam_width * (last_round + 1))
 
     beams: dict[tuple[int, ...], float] = {(): 0.0}
     for f_t in enc_frames:
+        memo.next_frame(f_t)
         next_beams: dict[tuple[int, ...], float] = {}
         frontier = list(beams.items())
         for round_idx in range(last_round + 1):
-            G = cache.rows([labels for labels, _ in frontier])
-            logp = log_softmax(joint_forward(f_t, G, weights, config))
+            logp = memo.score(cache.slots([labels for labels, _ in frontier]))
             for (labels, lp), blank_logp in zip(frontier, logp[:, blank].tolist()):
                 blank_lp = lp + blank_logp
                 prev = next_beams.get(labels)
@@ -169,8 +236,8 @@ def beam_decode(
         beams = _top_b(next_beams, beam_width)
 
     nbest = [
-        Hypothesis(labels, float(lp), PredictionState.from_labels(labels, config), g)
-        for (labels, lp), g in zip(beams.items(), cache.rows(list(beams)))
+        Hypothesis(labels, float(lp), PredictionState.from_labels(labels, config), cache.g[s].copy())
+        for (labels, lp), s in zip(beams.items(), cache.slots(list(beams)))
     ]
     nbest.sort(key=Hypothesis.sort_key)
     return nbest

@@ -18,7 +18,8 @@ from rnntdec.backprop import forward_grid
 from rnntdec.errors import DomainError
 from rnntdec.weights import get_tensor, init_weights, specs_of
 
-from helpers import tiny_config
+import helpers
+from helpers import naive_beam_decode, tiny_config
 
 ROW_CONFIGS = {
     "reduced": lambda: tiny_config("reduced", tied=True),
@@ -149,19 +150,59 @@ def test_forward_grid_rejects_ids_outside_the_vocabulary():
             forward_grid(frames, target, w, cfg)
 
 
+class ScoredPairs:
+    """Rebinds ``prediction_forward`` and ``joint_forward`` in one module to
+    record which (frame index, history window) pairs reach the joint.
+
+    Windows are recovered from the prediction outputs the module computed,
+    so every distinct window must have given distinct output bytes."""
+
+    def __init__(self, monkeypatch, module, frames):
+        self.frames = {f.tobytes(): t for t, f in enumerate(frames)}
+        self.window_of = {}
+        self.pairs = []
+        pf, jf = module.prediction_forward, module.joint_forward
+
+        def prediction(history, *args, **kwargs):
+            out = pf(history, *args, **kwargs)
+            if isinstance(history, PredictionState):
+                windows, rows = [history.recent_first()], out[None]
+            else:
+                windows, rows = [tuple(r) for r in history.tolist()], out
+            for window, row in zip(windows, rows):
+                assert self.window_of.setdefault(row.tobytes(), window) == window
+            return out
+
+        def joint(f_t, g_u, *args, **kwargs):
+            t = self.frames[f_t.tobytes()]
+            self.pairs += [(t, self.window_of[g.tobytes()]) for g in np.atleast_2d(g_u)]
+            return jf(f_t, g_u, *args, **kwargs)
+
+        monkeypatch.setattr(module, "prediction_forward", prediction)
+        monkeypatch.setattr(module, "joint_forward", joint)
+
+
 @pytest.mark.parametrize("key", ["reduced", "lstm"])
 def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
     w, cfg, _ = row_cases(key, np.dtype("f8"))
-    log = CallLog(monkeypatch, (rnntdec.decoding, "prediction_forward"),
-                  (rnntdec.decoding, "joint_forward"))
     frames = SeededRng(6).normal((5, cfg.d_enc))
+    naive = ScoredPairs(monkeypatch, helpers, frames)
+    naive_beam_decode(frames, w, cfg, 3)
+    scored = ScoredPairs(monkeypatch, rnntdec.decoding, frames)
+    # every round, and the final n-best lookup, starts with one slot lookup
+    log = CallLog(monkeypatch, (rnntdec.decoding, "prediction_forward"),
+                  (rnntdec.decoding, "joint_forward"), (rnntdec.decoding._PnCache, "slots"))
     nbest = beam_decode(frames, w, cfg, 3)
-    rounds = log.count("joint_forward")
-    assert rounds == len(frames) * (cfg.max_symbols_per_frame + 1)
-    # no round, and not the final n-best lookup, calls the network twice
-    pairs = zip(log.events, log.events[1:])
-    assert ("prediction_forward", "prediction_forward") not in set(pairs)
-    assert log.events[-1] == "joint_forward"
-    assert 0 < log.count("prediction_forward") <= rounds
+    starts = [i for i, name in enumerate(log.events) if name == "slots"]
+    assert len(starts) == len(frames) * (cfg.max_symbols_per_frame + 1) + 1
+    for lo, hi in zip(starts, starts[1:] + [len(log.events)]):
+        calls = log.events[lo + 1:hi]
+        assert calls in ([], ["prediction_forward"], ["joint_forward"],
+                         ["prediction_forward", "joint_forward"])
+    assert log.events[starts[-1]:] == ["slots"]  # the n-best lookup calls nothing
+    # each (frame, window) pair is scored once, and exactly the naive search's pairs are
+    assert len(scored.pairs) == len(set(scored.pairs))
+    assert set(scored.pairs) == set(naive.pairs)
+    assert len(scored.pairs) < len(naive.pairs)
     for h in nbest:
         np.testing.assert_array_equal(h.pn_out, prediction_forward(h.state, w, cfg))

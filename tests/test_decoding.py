@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rnntdec.decoding
 from rnntdec import (
     SeededRng,
     beam_decode,
@@ -50,7 +51,12 @@ class TestGreedy:
         frames = SeededRng(0).normal((4, cfg.d_enc))
         res = greedy_decode(frames, w, cfg)
         assert res.labels == []
-        assert len(res.step_times_ms) == 4
+        # four blank steps on the fresh history, summed in frame order
+        g = prediction_forward(PredictionState.initial(cfg), w, cfg)
+        expected = 0.0
+        for f_t in frames:
+            expected += float(log_softmax(joint_forward(f_t, g, w, cfg))[cfg.blank_id])
+        assert res.log_prob == expected
 
     def test_no_frames(self):
         cfg = tiny_config()
@@ -232,6 +238,92 @@ class TestBatchedBeam:
         nbest = beam_decode(frames, w, cfg, 4)
         assert len(nbest) > 1
         assert all(type(h.log_prob) is float for h in nbest)
+
+
+VARIANTS = ("reduced", "stateless1emb", "concat2emb", "lstm")
+
+
+def random_variant_config(variant, rng, **overrides):
+    d = int(rng.integers(2, 7))
+    return tiny_config(variant, d_e=d, d_h=d, tied=bool(rng.integers(0, 2)),
+                       **({"lstm_proj": d} if variant == "lstm" else {}), **overrides)
+
+
+class TestFrameMemo:
+    """``beam_decode`` scores each (frame, history window) pair once and
+    reads repeated windows back from its per-frame memo; the naive search
+    rescores every hypothesis, so ``==`` against it checks every memo read."""
+
+    as_pairs = staticmethod(TestBatchedBeam.as_pairs)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_f8_frames_on_f4_weights(self, variant):
+        # the joint output, and so the memo, is f8 although the weights are f4
+        rng = np.random.default_rng(VARIANTS.index(variant))
+        for trial in range(6):
+            cfg = random_variant_config(variant, rng, vocab_size=int(rng.integers(2, 6)),
+                                        max_symbols_per_frame=int(rng.integers(1, 5)))
+            w = init_weights(cfg, seed=trial, dtype=np.float32)
+            frames = 2.0 * rng.standard_normal((int(rng.integers(1, 5)), cfg.d_enc))
+            for width in (1, 3, 6):
+                nbest = beam_decode(frames, w, cfg, width)
+                assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width)
+                assert all(h.pn_out.dtype == np.float32 for h in nbest)
+
+    def test_high_symbol_cap_small_vocabulary(self, monkeypatch):
+        # with V = 2-3 and N <= 2 a frame meets few windows in many rounds
+        rng = np.random.default_rng(77)
+        joint_calls = []
+        joint = rnntdec.decoding.joint_forward
+        monkeypatch.setattr(rnntdec.decoding, "joint_forward",
+                            lambda *a: joint_calls.append(1) or joint(*a))
+        rounds = 0
+        for trial in range(24):
+            variant = VARIANTS[trial % 4]
+            cfg = random_variant_config(variant, rng, vocab_size=int(rng.integers(2, 4)),
+                                        max_symbols_per_frame=int(rng.integers(6, 11)))
+            dtype = (np.float64, np.float32)[trial % 2]
+            w = init_weights(cfg, seed=trial, dtype=dtype)
+            frames = (2.0 * rng.standard_normal((int(rng.integers(1, 4)), cfg.d_enc))).astype(dtype)
+            for width in (2, 4):
+                nbest = beam_decode(frames, w, cfg, width)
+                assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width), (
+                    f"trial {trial}: {variant} {np.dtype(dtype).name} B={width}"
+                )
+                rounds += len(frames) * (cfg.max_symbols_per_frame + 1)
+        assert 2 * len(joint_calls) < rounds
+
+    @pytest.mark.parametrize("T", [0, 1])
+    def test_zero_and_one_frame(self, T):
+        rng = np.random.default_rng(5 + T)
+        for variant in VARIANTS:
+            cfg = random_variant_config(variant, rng, vocab_size=3, max_symbols_per_frame=3)
+            w = init_weights(cfg, seed=T)
+            frames = rng.standard_normal((T, cfg.d_enc))
+            for width in (1, 2, 5):
+                nbest = beam_decode(frames, w, cfg, width)
+                assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width)
+                for h in nbest:
+                    np.testing.assert_array_equal(h.pn_out, prediction_forward(h.state, w, cfg))
+
+    def test_pn_out_arrays_are_independent(self):
+        # N = 1 and V = 3 give four windows, so two of the five entries share one
+        cfg = tiny_config(vocab_size=3, history_len=1, max_symbols_per_frame=4)
+        w = init_weights(cfg, seed=3)
+        frames = SeededRng(8).normal((6, cfg.d_enc), std=2.0)
+        first = beam_decode(frames, w, cfg, 5)
+        assert len(first) == 5 and len({h.state for h in first}) < 5
+        kept = [h.pn_out.copy() for h in first]
+        second = beam_decode(frames, w, cfg, 5)
+        arrays = [h.pn_out for h in first + second]
+        assert all(a.flags.owndata for a in arrays)
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        for h, before in zip(first, kept):
+            np.testing.assert_array_equal(h.pn_out, before)
+            np.testing.assert_array_equal(h.pn_out, prediction_forward(h.state, w, cfg))
+        assert [h.pn_out.tobytes() for h in second] == [b.tobytes() for b in kept]
 
 
 class TestLookup:
