@@ -4,20 +4,20 @@ Both decoders are frame-synchronous: at each encoder frame a hypothesis may
 emit up to ``max_symbols_per_frame`` non-blank labels before a blank advances
 time.  Since the prediction network only sees the last ``history_len``
 labels, its outputs are cached per history window during a decode (the
-dynamic form of the lookup-table conversion below): one slot per window in
-one growable array, read by both decoders.
+dynamic form of the lookup-table conversion below): one dict from window
+to prediction row, read by both decoders.
 
 Within one frame the joint output also depends only on the history window,
 so beam search scores each (frame, window) pair once.  It expands its
 hypotheses in rounds, one batch per round: the histories the cache has not
 seen go through one batched prediction call, the windows not yet scored at
 this frame go through one joint call and one row-wise log-softmax into a
-per-frame memo, and every hypothesis's row is gathered from that memo; a
-round whose windows were all scored earlier in the frame makes no network
-call.  The next frontier is chosen from the (hypotheses x vocabulary) score
-matrix with ``np.partition``.  Candidates tied at the beam's last score are
-settled by label sequence, so the n-best list is the one a full sort by
-``(-log_prob, labels)`` would give.
+per-frame memo keyed by window, and every hypothesis's row is gathered
+from that memo; a round whose windows were all scored earlier in the frame
+makes no network call.  The next frontier is chosen from the (hypotheses x
+vocabulary) score matrix with ``np.partition``.  Candidates tied at the
+beam's last score are settled by label sequence, so the n-best list is the
+one a full sort by ``(-log_prob, labels)`` would give.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from .errors import CapacityError, ConfigError, ShapeError
 from .mathops import log_softmax, logaddexp
 from .nets import PredictionState, joint_forward, prediction_forward
 from .weights import ModelWeights, check_variant
+
+# windows per prediction call in ``convert_to_lookup``: a reduced batch holds
+# an (n, H, N, d_e) product, far too large at the full table budget
+_LOOKUP_CHUNK = 1024
 
 
 @dataclass
@@ -58,95 +62,39 @@ class GreedyResult:
 
 
 class _PnCache:
-    """Per-decode prediction outputs, one slot per history window.
+    """Per-decode prediction outputs keyed by history window.
 
-    ``slot`` maps a window (``PredictionState.ids``: the last N labels,
-    oldest first, pad-filled) to its row of ``g``, a (slots, pn_out) array
-    that doubles when full.  Rows are written once and never change.
+    ``rows`` maps a window (``PredictionState.ids``: the last N labels,
+    oldest first, pad-filled) to its prediction output.  Rows are computed
+    once and never change.
     """
 
     def __init__(self, weights: ModelWeights, config: DecoderConfig):
         self.weights = weights
         self.config = config
-        self.slot: dict[tuple[int, ...], int] = {}
-        self.g = np.empty((16, config.pn_out_dim), dtype=weights.dtype)
-        self._pad = (config.pad_id,) * config.history_len
-
-    def _append(self, keys, rows: np.ndarray) -> None:
-        start = len(self.slot)
-        end = start + len(keys)
-        if end > len(self.g):
-            grown = np.empty((max(end, 2 * len(self.g)), self.g.shape[1]), dtype=self.g.dtype)
-            grown[:start] = self.g[:start]
-            self.g = grown
-        self.g[start:end] = rows
-        self.slot.update(zip(keys, range(start, end)))
+        self.rows: dict[tuple[int, ...], np.ndarray] = {}
 
     def get(self, state: PredictionState) -> np.ndarray:
-        s = self.slot.get(state.ids)
-        if s is None:
-            s = len(self.slot)
-            self._append([state.ids], prediction_forward(state, self.weights, self.config))
-        return self.g[s]
+        g = self.rows.get(state.ids)
+        if g is None:
+            g = self.rows[state.ids] = prediction_forward(state, self.weights, self.config)
+        return g
 
-    def slots(self, label_seqs) -> list[int]:
-        """Slots of the histories after each label sequence; all misses go
-        through one batched prediction call."""
-        n = self.config.history_len
-        keys = [(self._pad + labels)[-n:] for labels in label_seqs]
-        missing = [k for k in dict.fromkeys(keys) if k not in self.slot]
+    def stack(self, windows) -> np.ndarray:
+        """(len(windows), pn_out) rows; all misses go through one batched
+        prediction call."""
+        missing = [k for k in dict.fromkeys(windows) if k not in self.rows]
         if missing:
             ids = np.array(missing)[:, ::-1]  # recent first
-            self._append(missing, prediction_forward(ids, self.weights, self.config))
-        return [self.slot[k] for k in keys]
+            self.rows.update(zip(missing, prediction_forward(ids, self.weights, self.config)))
+        return np.array([self.rows[k] for k in windows])
 
 
-class _FrameMemo:
-    """Log-softmax joint rows of one frame, one per history window scored at it.
-
-    Within a frame the joint output depends only on the window, so a window
-    met again in a later round reads its row back instead of being rescored.
-    ``frame[s]`` is the last frame at which cache slot ``s`` was scored and
-    ``row[s]`` its row of ``logp``.  A frame meets at most
-    ``beam_width * (max_symbols_per_frame + 1)`` windows, which bounds the rows.
-    """
-
-    def __init__(self, cache: _PnCache, rows: int):
-        self.cache = cache
-        self.rows = rows
-        # allocated at the first joint call in its output's dtype, which is f8
-        # for f8 frames on an f4 model
-        self.logp: np.ndarray | None = None
-        self.frame: list[int] = []
-        self.row: list[int] = []
-        self.t = -1
-        self.used = 0
-
-    def next_frame(self, f_t: np.ndarray) -> None:
-        self.f_t = f_t
-        self.t += 1
-        self.used = 0
-
-    def score(self, slots: list[int]) -> np.ndarray:
-        """(len(slots), V+1) log-probs; windows not yet scored at this frame
-        go through one joint call and one log-softmax."""
-        frame, row, t = self.frame, self.row, self.t
-        grow = len(self.cache.slot) - len(frame)
-        if grow > 0:
-            frame.extend([-1] * grow)
-            row.extend([0] * grow)
-        fresh = [s for s in dict.fromkeys(slots) if frame[s] != t]
-        if fresh:
-            cache = self.cache
-            logp = log_softmax(joint_forward(self.f_t, cache.g[fresh], cache.weights, cache.config))
-            if self.logp is None:
-                self.logp = np.empty((self.rows, logp.shape[1]), dtype=logp.dtype)
-            self.logp[self.used:self.used + len(fresh)] = logp
-            for r, s in enumerate(fresh, self.used):
-                frame[s] = t
-                row[s] = r
-            self.used += len(fresh)
-        return self.logp[[row[s] for s in slots]]
+def _check_frames(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderConfig) -> None:
+    check_variant(weights, config)
+    d_enc = weights.enc_w.shape[0]
+    if enc_frames.ndim != 2 or enc_frames.shape[1] != d_enc:
+        raise ShapeError(f"encoder frames {enc_frames.shape} != (T, {d_enc})")
 
 
 def greedy_decode(
@@ -158,7 +106,7 @@ def greedy_decode(
     network and stays on the frame; blank (or hitting the per-frame symbol
     cap) advances to the next frame.  Blanks never appear in the output.
     """
-    check_variant(weights, config)
+    _check_frames(enc_frames, weights, config)
     cache = _PnCache(weights, config)
     state = PredictionState.initial(config)
     g = cache.get(state)
@@ -208,24 +156,33 @@ def beam_decode(
     Returns the n-best list sorted by descending log-prob; each entry's
     ``pn_out`` is its own array.
     """
-    check_variant(weights, config)
+    _check_frames(enc_frames, weights, config)
     if beam_width < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam_width}")
-    d_enc = weights.enc_w.shape[0]
-    if enc_frames.ndim != 2 or enc_frames.shape[1] != d_enc:
-        raise ShapeError(f"encoder frames {enc_frames.shape} != (T, {d_enc})")
     cache = _PnCache(weights, config)
     blank = config.blank_id
     last_round = config.max_symbols_per_frame
-    memo = _FrameMemo(cache, beam_width * (last_round + 1))
+    n = config.history_len
+    pad = (config.pad_id,) * n
+    # one row per window a frame can meet, in the joint's output dtype (f8 for
+    # f8 frames on an f4 model)
+    scored = np.empty((beam_width * (last_round + 1), config.num_logits),
+                      np.result_type(enc_frames.dtype, weights.dtype))
 
     beams: dict[tuple[int, ...], float] = {(): 0.0}
     for f_t in enc_frames:
-        memo.next_frame(f_t)
+        memo: dict[tuple[int, ...], int] = {}  # window -> its row of ``scored``
         next_beams: dict[tuple[int, ...], float] = {}
         frontier = list(beams.items())
         for round_idx in range(last_round + 1):
-            logp = memo.score(cache.slots([labels for labels, _ in frontier]))
+            windows = [(pad + labels)[-n:] for labels, _ in frontier]
+            fresh = [k for k in dict.fromkeys(windows) if k not in memo]
+            if fresh:
+                rows = log_softmax(joint_forward(f_t, cache.stack(fresh), weights, config))
+                used = len(memo)
+                memo.update(zip(fresh, range(used, used + len(fresh))))
+                scored[used:len(memo)] = rows
+            logp = scored[[memo[k] for k in windows]]
             for (labels, lp), blank_logp in zip(frontier, logp[:, blank].tolist()):
                 blank_lp = lp + blank_logp
                 prev = next_beams.get(labels)
@@ -235,10 +192,9 @@ def beam_decode(
                 frontier = _best_extensions(frontier, lps[:, None] + logp[:, :blank], beam_width)
         beams = _top_b(next_beams, beam_width)
 
-    nbest = [
-        Hypothesis(labels, float(lp), PredictionState.from_labels(labels, config), cache.g[s].copy())
-        for (labels, lp), s in zip(beams.items(), cache.slots(list(beams)))
-    ]
+    windows = [(pad + labels)[-n:] for labels in beams]
+    nbest = [Hypothesis(labels, float(lp), PredictionState.from_labels(labels, config), g.copy())
+             for (labels, lp), g in zip(beams.items(), cache.stack(windows))]
     nbest.sort(key=Hypothesis.sort_key)
     return nbest
 
@@ -315,9 +271,10 @@ def convert_to_lookup(
             f"lookup table needs {entries} entries "
             f"({config.vocab_ext}^{n}), budget is {max_entries}"
         )
+    # row r holds the recent-first window whose base-(V+1) digits spell r
+    ids = np.stack(np.unravel_index(np.arange(entries), (config.vocab_ext,) * n), axis=1)
     table = np.empty((entries, config.pn_out_dim), dtype=weights.dtype)
-    lt = LookupTable(n, config.vocab_ext, table)
-    for ctx in lt.contexts():
-        state = PredictionState(ctx[::-1], config.pad_id)
-        table[lt.index_of(ctx)] = prediction_forward(state, weights, config)
-    return lt
+    for lo in range(0, entries, _LOOKUP_CHUNK):
+        chunk = slice(lo, lo + _LOOKUP_CHUNK)
+        table[chunk] = prediction_forward(ids[chunk], weights, config)
+    return LookupTable(n, config.vocab_ext, table)

@@ -25,7 +25,6 @@ class BenchConfig(DictCodec):
     warmup: int = 0  # 0 means 10% of runs
     dtype: str = "f4"
     seed: int = 0
-    state_pool: int = 16
     decoders: list = None  # list of (name, DecoderConfig)
 
     def __post_init__(self):

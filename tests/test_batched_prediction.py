@@ -161,6 +161,7 @@ class ScoredPairs:
         self.frames = {f.tobytes(): t for t, f in enumerate(frames)}
         self.window_of = {}
         self.pairs = []
+        self.call_frames = []  # the frame index of each joint call
         pf, jf = module.prediction_forward, module.joint_forward
 
         def prediction(history, *args, **kwargs):
@@ -175,6 +176,7 @@ class ScoredPairs:
 
         def joint(f_t, g_u, *args, **kwargs):
             t = self.frames[f_t.tobytes()]
+            self.call_frames.append(t)
             self.pairs += [(t, self.window_of[g.tobytes()]) for g in np.atleast_2d(g_u)]
             return jf(f_t, g_u, *args, **kwargs)
 
@@ -189,17 +191,27 @@ def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
     naive = ScoredPairs(monkeypatch, helpers, frames)
     naive_beam_decode(frames, w, cfg, 3)
     scored = ScoredPairs(monkeypatch, rnntdec.decoding, frames)
-    # every round, and the final n-best lookup, starts with one slot lookup
+    # every round but a frame's last ends by choosing the next frontier and
+    # the last ends the frame by pruning its beam; what follows the final
+    # prune is the n-best lookup
     log = CallLog(monkeypatch, (rnntdec.decoding, "prediction_forward"),
-                  (rnntdec.decoding, "joint_forward"), (rnntdec.decoding._PnCache, "slots"))
+                  (rnntdec.decoding, "joint_forward"), (rnntdec.decoding, "_best_extensions"),
+                  (rnntdec.decoding, "_top_b"))
     nbest = beam_decode(frames, w, cfg, 3)
-    starts = [i for i, name in enumerate(log.events) if name == "slots"]
-    assert len(starts) == len(frames) * (cfg.max_symbols_per_frame + 1) + 1
-    for lo, hi in zip(starts, starts[1:] + [len(log.events)]):
+    ends = [i for i, name in enumerate(log.events) if name in ("_best_extensions", "_top_b")]
+    rounds_per_frame = cfg.max_symbols_per_frame + 1
+    assert len(ends) == len(frames) * rounds_per_frame
+    assert [log.events[i] == "_top_b" for i in ends] == [
+        r % rounds_per_frame == rounds_per_frame - 1 for r in range(len(ends))]
+    joint_frames = iter(scored.call_frames)
+    for r, (lo, hi) in enumerate(zip([-1] + ends, ends)):
         calls = log.events[lo + 1:hi]
-        assert calls in ([], ["prediction_forward"], ["joint_forward"],
-                         ["prediction_forward", "joint_forward"])
-    assert log.events[starts[-1]:] == ["slots"]  # the n-best lookup calls nothing
+        # a window the cache has not seen is not yet scored at this frame
+        # either, so a prediction call is always followed by a joint call
+        assert calls in ([], ["joint_forward"], ["prediction_forward", "joint_forward"])
+        if calls:
+            assert next(joint_frames) == r // rounds_per_frame
+    assert log.events[ends[-1] + 1:] == []  # the n-best lookup calls nothing
     # each (frame, window) pair is scored once, and exactly the naive search's pairs are
     assert len(scored.pairs) == len(set(scored.pairs))
     assert set(scored.pairs) == set(naive.pairs)

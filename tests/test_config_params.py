@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rnntdec import DecoderConfig, SeededRng, init_weights, param_count, preset, step_flops, tied_savings
 from rnntdec.config import PRESET_NAMES
 from rnntdec.errors import ConfigError
+from rnntdec.runconfig import load_run_config
 
 from helpers import tiny_config
 
@@ -167,3 +170,16 @@ class TestStepFlops:
         short = step_flops(tiny_config(history_len=2, d_e=64, d_h=64))
         long = step_flops(tiny_config(history_len=8, d_e=64, d_h=64))
         assert long < short * 1.5
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+class TestShippedConfigs:
+    def test_configs_are_shipped(self):
+        assert {p.name for p in SHIPPED_CONFIGS} >= {"toy_reduced.json", "table1_bench.json"}
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_loads_through_the_run_config_schema(self, path):
+        cfg = load_run_config(str(path))
+        assert any(getattr(cfg, s) is not None for s in ("decoder", "task", "train", "embr", "bench"))

@@ -64,6 +64,14 @@ class TestGreedy:
         res = greedy_decode(np.zeros((0, cfg.d_enc)), w, cfg)
         assert res.labels == [] and res.log_prob == 0.0
 
+    @pytest.mark.parametrize("shape", [(0, 7), (0, 3), (0,), (5,), (0, 4, 1), (2, 4, 1)])
+    def test_wrong_frame_shape_is_shape_error(self, shape):
+        # checked up front like beam_decode, so a frameless input is caught too
+        cfg = tiny_config()  # d_enc = 4
+        w = all_blank_model(cfg)
+        with pytest.raises(ShapeError):
+            greedy_decode(np.zeros(shape), w, cfg)
+
     def test_hand_simulated_loop(self):
         # frame 0 emits label 0 once (the fed-back embedding then boosts
         # blank), frame 1 is blank: output is exactly [0].
