@@ -21,7 +21,7 @@ from .decoding import (
     convert_to_lookup,
     greedy_decode,
 )
-from .embr import NBestList, RiskResult, edit_distance, embr_risk
+from .embr import EmbrParams, NBestList, RiskResult, edit_distance, embr_risk
 from .lattice import LossResult, TransducerLattice, transducer_loss
 from .mathops import layer_norm, log_softmax, matmul, sigmoid, swish
 from .model_io import load, load_lookup, read_archive, save, save_lookup
@@ -36,7 +36,7 @@ from .nets import (
 )
 from .rng import SeededRng
 from .toy import ToyTaskSpec, Utterance, make_toy_dataset, toy_encode
-from .train import EmbrParams, Hyperparams, embr_phase, embr_step, train
+from .train import Hyperparams, embr_phase, train
 from .weights import (
     EncoderStub,
     LstmLayer,

@@ -27,6 +27,10 @@ done in place in one of them:
   place by the tanh derivative.
 
 So at most two d_h-wide grids are live at once.
+
+Training and EMBR share one backward chain, ``utterance_grads``: the
+transducer loss is its one-term case (scale 1), the EMBR risk its n-best
+case (scale -d(risk)/d(log P(h))), and ``batch_mean`` averages either.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .config import LSTM, REDUCED, DecoderConfig
 from .errors import DomainError, StateError
 from .mathops import LN_EPS, sigmoid
 from .nets import prediction_forward
+from .toy import encode_backward
 from .weights import ModelWeights, check_variant, get_tensor, specs_of
 
 
@@ -63,6 +68,47 @@ def zero_grads(weights: ModelWeights) -> dict[str, np.ndarray]:
         for s in specs_of(weights)
         if s.alias is None
     }
+
+
+def utterance_grads(features: np.ndarray, terms, weights: ModelWeights, config: DecoderConfig):
+    """Gradient of sum(scale * loss) over one utterance's (scale, LossResult,
+    ForwardCache) terms, from ``forward_grid`` on the frames of ``features``,
+    chained into the encoder stub when the model has one.  Scales each
+    ``dlogits`` in place and uses up each cache; no terms give zero grads."""
+    grads = dframes = None
+    for scale, result, cache in terms:
+        result.dlogits *= scale
+        term_grads, term_dframes = backprop_decoder(result.dlogits, cache, weights, config)
+        if grads is None:  # the sum starts from the first term's gradients
+            grads, dframes = term_grads, term_dframes
+            continue
+        for name, g in term_grads.items():
+            grads[name] += g
+        dframes += term_dframes
+    if grads is None:
+        return zero_grads(weights)
+    if weights.enc_stub is not None:
+        encode_backward(features, dframes, grads)
+    return grads
+
+
+def batch_mean(pairs, weights: ModelWeights):
+    """Mean value and mean gradient over (value, grads) pairs, summed into the
+    first pair's gradients; an empty batch gives 0.0 and zero gradients."""
+    total, grads, n = 0.0, None, 0
+    for value, pair_grads in pairs:
+        total += value
+        n += 1
+        if grads is None:
+            grads = pair_grads
+            continue
+        for name, g in pair_grads.items():
+            grads[name] += g
+    if grads is None:
+        return 0.0, zero_grads(weights)
+    for g in grads.values():
+        g /= n
+    return total / n, grads
 
 
 def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: DecoderConfig):

@@ -18,6 +18,7 @@ import numpy as np
 from .bench import BenchRecord, bench_decoder
 from .config import DecoderConfig
 from .decoding import beam_decode, convert_to_lookup, greedy_decode
+from .embr import dev_risk
 from .errors import (
     ArchiveError,
     CapacityError,
@@ -28,7 +29,7 @@ from .errors import (
 from .model_io import load, save, save_lookup
 from .runconfig import RunConfig, load_run_config
 from .toy import toy_encode
-from .train import dev_risk, embr_phase, make_toy_dataset, train
+from .train import embr_phase, toy_corpus, train
 from .weights import init_weights, param_count, step_flops, tied_savings
 
 EXIT_OK = 0
@@ -109,20 +110,11 @@ def cmd_embr(args) -> int:
     cfg = load_run_config(args.config)
     cfg.require("task", "train", "embr")
     weights, dec_cfg = load(args.in_model)
-    if dec_cfg.vocab_size != cfg.task.vocab_size:
-        raise ConfigError(
-            f"model vocab_size {dec_cfg.vocab_size} != task vocab_size {cfg.task.vocab_size}"
-        )
     params = cfg.embr
     if args.seed is not None:
         params = replace(params, seed=args.seed)
-    # Same deterministic corpus as cmd_train: dataset seed derives from train.seed.
-    from .rng import SeededRng
-
-    data_seed = SeededRng(cfg.train.seed).derive(1).seed
-    train_set, dev_set = make_toy_dataset(cfg.task, seed=data_seed)
-    batches_per_epoch = -(-len(train_set) // cfg.train.batch_size)
-    main_steps = cfg.train.epochs * batches_per_epoch
+    # the corpus and step count of the cmd_train run that made the model
+    train_set, dev_set, main_steps = toy_corpus(dec_cfg, cfg.task, cfg.train)
     risk_before = dev_risk(dev_set, weights, dec_cfg, params)
     result = embr_phase(weights, dec_cfg, train_set, params, main_train_steps=main_steps)
     risk_after = dev_risk(dev_set, result.weights, dec_cfg, params)

@@ -20,7 +20,14 @@ _JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
 class DictCodec:
-    """``to_dict``/``from_dict`` for flat dataclasses: configs and records."""
+    """``to_dict``/``from_dict`` and range checks for flat dataclasses:
+    configs and records."""
+
+    def check_min(self, **minimums) -> None:
+        """ConfigError unless each named field is >= its minimum."""
+        for name, low in minimums.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -78,12 +85,9 @@ class DecoderConfig(DictCodec):
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if self.history_len < 1:
-            raise ConfigError(f"history_len must be >= 1, got {self.history_len}")
-        if self.num_heads < 1:
-            raise ConfigError(f"num_heads must be >= 1, got {self.num_heads}")
+        self.check_min(
+            vocab_size=2, history_len=1, num_heads=1, max_symbols_per_frame=1, d_e=1, d_h=1, d_enc=1
+        )
         if self.tied and self.d_e != self.d_h:
             raise ConfigError(f"tied decoders need d_e == d_h, got {self.d_e} != {self.d_h}")
         if self.variant == STATELESS_1EMB and self.history_len != 1:
@@ -92,11 +96,6 @@ class DecoderConfig(DictCodec):
             raise ConfigError("concat2emb conditions on exactly two previous labels")
         if self.variant == LSTM and min(self.lstm_layers, self.lstm_units, self.lstm_proj) < 1:
             raise ConfigError("lstm variant needs lstm_layers/lstm_units/lstm_proj >= 1")
-        if self.max_symbols_per_frame < 1:
-            raise ConfigError("max_symbols_per_frame must be >= 1")
-        for dim in ("d_e", "d_h", "d_enc"):
-            if getattr(self, dim) < 1:
-                raise ConfigError(f"{dim} must be >= 1")
 
     @property
     def blank_id(self) -> int:

@@ -2,8 +2,10 @@
 
 Risk is the expected edit distance of the n-best hypotheses against the
 reference under the softmax posterior of their log-probs.  Hypothesis
-log-probs are exact alignment marginals (via the lattice), so the risk
-gradient chains cleanly through the transducer-loss gradient machinery.
+log-probs are exact alignment marginals (log P(h) = -loss(h)), so the risk
+gradient is training's ``backprop.utterance_grads`` with one term per
+hypothesis, averaged by the same ``backprop.batch_mean``.  Each utterance
+is encoded once, for its beam search and its rescoring.
 """
 
 from __future__ import annotations
@@ -12,13 +14,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backprop import backprop_decoder, forward_grid, zero_grads
-from .config import DecoderConfig
+from .backprop import batch_mean, forward_grid, utterance_grads
+from .config import DecoderConfig, DictCodec
 from .decoding import Hypothesis, beam_decode
 from .errors import DomainError
 from .lattice import transducer_loss
-from .toy import Utterance, encode_backward, frames_for
+from .toy import Utterance, frames_for
 from .weights import ModelWeights
+
+
+@dataclass
+class EmbrParams(DictCodec):
+    beam_width: int = 4
+    steps: int = 0  # 0 means: pick steps as main_steps // 10
+    lr: float = 0.02
+    momentum: float = 0.9
+    batch_size: int = 4
+    seed: int = 0
+    add_reference: bool = False
+    posterior_scale: float = 1.0
+    grad_clip: float = 1.0
+
+    def __post_init__(self):
+        self.check_min(beam_width=1, steps=0, batch_size=1, grad_clip=0)
 
 
 def edit_distance(hyp, ref) -> int:
@@ -91,18 +109,24 @@ def rescore_exact(frames: np.ndarray, labels, weights: ModelWeights, config: Dec
     return -res.loss, res, cache
 
 
-def _score_nbest(utt, nbest_labels, weights, config, posterior_scale):
+def _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale):
     """Rescore every candidate exactly and take the risk of the list.
 
-    Returns (frames, scored, RiskResult); ``scored[i]`` is
-    ``rescore_exact``'s (log_prob, LossResult, ForwardCache) for candidate i.
+    Returns (scored, RiskResult); ``scored[i]`` is ``rescore_exact``'s
+    (log_prob, LossResult, ForwardCache) for candidate i.
     """
-    frames = frames_for(utt, weights)
     scored = [rescore_exact(frames, labels, weights, config) for labels in nbest_labels]
     entries = [
         Hypothesis(labels, lp) for labels, (lp, _, _) in zip(nbest_labels, scored)
     ]
-    return frames, scored, embr_risk(NBestList(entries, tuple(utt.labels)), posterior_scale)
+    return scored, embr_risk(NBestList(entries, tuple(utt.labels)), posterior_scale)
+
+
+def _risk_grads(utt, frames, nbest_labels, weights, config, posterior_scale):
+    scored, result = _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale)
+    # d(risk)/d(logits_h) = dlp * d(log P)/d(logits) = -dlp * dloss/dlogits
+    terms = [(-dlp, res, cache) for dlp, (_, res, cache) in zip(result.dlog_prob, scored) if dlp]
+    return result.risk, utterance_grads(utt.features, terms, weights, config)
 
 
 def utterance_risk(
@@ -113,7 +137,8 @@ def utterance_risk(
     posterior_scale: float = 1.0,
 ) -> float:
     """Risk of a fixed candidate set under the current weights (no gradient)."""
-    return _score_nbest(utt, nbest_labels, weights, config, posterior_scale)[2].risk
+    frames = frames_for(utt, weights)
+    return _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale)[1].risk
 
 
 def utterance_risk_grads(
@@ -129,22 +154,19 @@ def utterance_risk_grads(
     (log P(h) = -loss(h)) into every trainable tensor, including the encoder
     stub when present.
     """
-    frames, scored, result = _score_nbest(utt, nbest_labels, weights, config, posterior_scale)
-    grads = zero_grads(weights)
-    dframes_total = np.zeros_like(frames)
-    for dlp_h, (_, loss_res, cache) in zip(result.dlog_prob, scored):
-        if dlp_h == 0.0:
-            continue
-        # d(risk)/d(logits_h) = dlp_h * d(log P)/d(logits) = -dlp_h * dloss/dlogits
-        dlogits = loss_res.dlogits
-        dlogits *= -dlp_h
-        h_grads, dframes = backprop_decoder(dlogits, cache, weights, config)
-        for name, g in h_grads.items():
-            grads[name] += g
-        dframes_total += dframes
-    if weights.enc_stub is not None:
-        encode_backward(utt.features, dframes_total, grads)
-    return result.risk, grads
+    frames = frames_for(utt, weights)
+    return _risk_grads(utt, frames, nbest_labels, weights, config, posterior_scale)
+
+
+def _decoded(utts, weights, config, beam_width, add_reference=False):
+    """Yield (utt, frames, n-best labels) per utterance, encoding each once;
+    a non-empty list gets the reference appended when asked and missing."""
+    for utt in utts:
+        frames = frames_for(utt, weights)
+        labels = [h.labels for h in beam_decode(frames, weights, config, beam_width)]
+        if labels and add_reference and tuple(utt.labels) not in labels:
+            labels.append(tuple(utt.labels))
+        yield utt, frames, labels
 
 
 @dataclass
@@ -155,55 +177,29 @@ class EmbrBatchStats:
 
 
 def embr_batch_grads(
-    batch: list[Utterance],
-    weights: ModelWeights,
-    config: DecoderConfig,
-    beam_width: int,
-    posterior_scale: float = 1.0,
-    add_reference: bool = False,
+    batch: list[Utterance], weights: ModelWeights, config: DecoderConfig, params: EmbrParams
 ):
     """Decode each utterance, compute risk gradients, average over the batch.
 
     Utterances whose beam comes back empty are skipped and counted.
     Returns (grads, EmbrBatchStats).
     """
-    grads = zero_grads(weights)
-    total_risk = 0.0
-    used = skipped = 0
-    for utt in batch:
-        frames = frames_for(utt, weights)
-        nbest = beam_decode(frames, weights, config, beam_width)
-        if not nbest:
-            skipped += 1
-            continue
-        labels_list = [h.labels for h in nbest]
-        if add_reference and tuple(utt.labels) not in labels_list:
-            labels_list.append(tuple(utt.labels))
-        risk, utt_grads = utterance_risk_grads(
-            utt, labels_list, weights, config, posterior_scale
-        )
-        for name, g in utt_grads.items():
-            grads[name] += g
-        total_risk += risk
-        used += 1
-    if used:
-        for g in grads.values():
-            g /= used
-    return grads, EmbrBatchStats(total_risk / used if used else 0.0, used, skipped)
+    decoded = _decoded(batch, weights, config, params.beam_width, params.add_reference)
+    used = [d for d in decoded if d[2]]
+    mean_risk, grads = batch_mean(
+        (_risk_grads(*d, weights, config, params.posterior_scale) for d in used), weights
+    )
+    return grads, EmbrBatchStats(mean_risk, len(used), len(batch) - len(used))
 
 
-def dataset_risk(
-    utts: list[Utterance],
+def dev_risk(
+    dev_set: list[Utterance],
     weights: ModelWeights,
     config: DecoderConfig,
-    beam_width: int,
-    posterior_scale: float = 1.0,
+    params: EmbrParams,
 ) -> float:
-    """Mean expected edit distance over a dataset (evaluation only)."""
+    """Mean risk of each utterance's beam n-best list (evaluation only)."""
     total = 0.0
-    for utt in utts:
-        frames = frames_for(utt, weights)
-        nbest = beam_decode(frames, weights, config, beam_width)
-        labels_list = [h.labels for h in nbest]
-        total += utterance_risk(utt, labels_list, weights, config, posterior_scale)
-    return total / len(utts) if utts else 0.0
+    for utt, frames, labels in _decoded(dev_set, weights, config, params.beam_width):
+        total += _score_nbest(utt, frames, labels, weights, config, params.posterior_scale)[1].risk
+    return total / len(dev_set) if dev_set else 0.0

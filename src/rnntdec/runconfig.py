@@ -12,9 +12,10 @@ import json
 from dataclasses import dataclass
 
 from .config import DecoderConfig, DictCodec, preset
+from .embr import EmbrParams
 from .errors import ConfigError
 from .toy import ToyTaskSpec
-from .train import EmbrParams, Hyperparams
+from .train import Hyperparams
 
 _SECTIONS = ("decoder", "task", "train", "embr", "bench")
 
@@ -28,8 +29,7 @@ class BenchConfig(DictCodec):
     decoders: list = None  # list of (name, DecoderConfig)
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ConfigError("bench.runs must be >= 1")
+        self.check_min(runs=1)
         if self.dtype not in ("f4", "f8"):
             raise ConfigError(f"bench.dtype must be 'f4' or 'f8', got {self.dtype!r}")
         if self.decoders is None:

@@ -32,8 +32,7 @@ class ToyTaskSpec(DictCodec):
     split_seed: int = 1
 
     def __post_init__(self):
-        if self.vocab_size < 2:
-            raise ConfigError("toy vocab_size must be >= 2")
+        self.check_min(vocab_size=2, noise_std=0, dataset_size=2)
         if self.feature_dim < self.vocab_size:
             raise ConfigError(
                 f"feature_dim {self.feature_dim} must fit one-hot labels "
@@ -43,12 +42,8 @@ class ToyTaskSpec(DictCodec):
             raise ConfigError("need 1 <= min_target_len <= max_target_len")
         if not 1 <= self.frames_per_label_min <= self.frames_per_label_max:
             raise ConfigError("need 1 <= frames_per_label_min <= frames_per_label_max")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
         if not 0 < self.dev_fraction < 1:
             raise ConfigError("dev_fraction must be in (0, 1)")
-        if self.dataset_size < 2:
-            raise ConfigError("dataset_size must be >= 2")
 
 
 @dataclass

@@ -1,8 +1,11 @@
 """Toy-scale training: SGD with momentum on the transducer loss, plus the
 EMBR fine-tuning phase that follows it.
 
-Everything is single-threaded and deterministic given the hyperparameter
-seed.  Per-epoch metrics can be appended to a JSON-lines log.
+Both phases share one backward chain: the loss is the one-term case of
+``backprop.utterance_grads``, the risk its n-best case, and
+``backprop.batch_mean`` averages a batch of either.  Everything is
+single-threaded and deterministic given the hyperparameter seed.  Per-epoch
+metrics can be appended to a JSON-lines log.
 """
 
 from __future__ import annotations
@@ -13,14 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backprop import backprop_decoder, forward_grid, zero_grads
+from .backprop import batch_mean, utterance_grads
 from .config import DecoderConfig, DictCodec
 from .decoding import greedy_decode
-from .embr import dataset_risk, edit_distance, embr_batch_grads
+from .embr import EmbrParams, edit_distance, embr_batch_grads, rescore_exact
+from .embr import dev_risk  # noqa: F401 (re-exported)
 from .errors import ConfigError, DivergenceError, DomainError
-from .lattice import transducer_loss
 from .rng import SeededRng
-from .toy import ToyTaskSpec, Utterance, encode_backward, frames_for, make_toy_dataset
+from .toy import ToyTaskSpec, Utterance, frames_for, make_toy_dataset
 from .weights import ModelWeights, init_encoder_stub, init_weights, trainable_tensors
 
 
@@ -32,6 +35,9 @@ class Hyperparams(DictCodec):
     epochs: int = 15
     seed: int = 0
     grad_clip: float = 1.0  # global grad-norm ceiling; 0 disables
+
+    def __post_init__(self):
+        self.check_min(batch_size=1, epochs=1, grad_clip=0)
 
 
 class SgdMomentum:
@@ -68,13 +74,8 @@ class SgdMomentum:
 
 def utterance_loss_grads(utt: Utterance, weights: ModelWeights, config: DecoderConfig):
     """Transducer loss and gradients for one utterance (features or frames)."""
-    frames = frames_for(utt, weights)
-    logits, cache = forward_grid(frames, utt.labels, weights, config)
-    result = transducer_loss(logits, utt.labels)
-    grads, dframes = backprop_decoder(result.dlogits, cache, weights, config)
-    if weights.enc_stub is not None:
-        encode_backward(utt.features, dframes, grads)
-    return result.loss, grads
+    _, result, cache = rescore_exact(frames_for(utt, weights), utt.labels, weights, config)
+    return result.loss, utterance_grads(utt.features, [(1.0, result, cache)], weights, config)
 
 
 def token_error_rate(
@@ -106,17 +107,15 @@ class TrainResult:
     dev_set: list[Utterance] = field(repr=False, default_factory=list)
 
 
-def _mean_batch_grads(batch, weights, config):
-    grads = zero_grads(weights)
-    loss_sum = 0.0
-    for utt in batch:
-        loss, utt_grads = utterance_loss_grads(utt, weights, config)
-        loss_sum += loss
-        for name, g in utt_grads.items():
-            grads[name] += g
-    for g in grads.values():
-        g /= len(batch)
-    return loss_sum / len(batch), grads
+def toy_corpus(config: DecoderConfig, task: ToyTaskSpec, hp: Hyperparams):
+    """The (train, dev) corpus ``train`` draws for ``hp.seed`` and the number
+    of optimizer steps it makes over it, as (train_set, dev_set, steps)."""
+    if config.vocab_size != task.vocab_size:
+        raise ConfigError(
+            f"decoder vocab_size {config.vocab_size} != task vocab_size {task.vocab_size}"
+        )
+    train_set, dev_set = make_toy_dataset(task, seed=SeededRng(hp.seed).derive(1).seed)
+    return train_set, dev_set, hp.epochs * -(-len(train_set) // hp.batch_size)
 
 
 def train(
@@ -129,12 +128,8 @@ def train(
 
     Raises DivergenceError as soon as a batch loss goes non-finite.
     """
-    if config.vocab_size != task.vocab_size:
-        raise ConfigError(
-            f"decoder vocab_size {config.vocab_size} != task vocab_size {task.vocab_size}"
-        )
+    train_set, dev_set, _ = toy_corpus(config, task, hp)
     rng = SeededRng(hp.seed)
-    train_set, dev_set = make_toy_dataset(task, seed=rng.derive(1).seed)
     weights = init_weights(config, seed=rng.derive(2).seed)
     weights.enc_stub = init_encoder_stub(task.feature_dim, config.d_enc, rng.derive(3).seed)
     shuffle_rng = rng.derive(4)
@@ -150,7 +145,9 @@ def train(
         for start in range(0, len(order), hp.batch_size):
             batch = [train_set[int(i)] for i in order[start : start + hp.batch_size]]
             try:
-                loss, grads = _mean_batch_grads(batch, weights, config)
+                loss, grads = batch_mean(
+                    (utterance_loss_grads(utt, weights, config) for utt in batch), weights
+                )
             except DomainError as e:
                 raise DivergenceError(
                     f"diverged (non-finite forward) at epoch {epoch}, step {steps}: {e}"
@@ -173,38 +170,6 @@ def train(
             with open(metrics_path, "a") as fh:
                 fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
     return TrainResult(weights, metrics, steps, train_set, dev_set)
-
-
-@dataclass
-class EmbrParams(DictCodec):
-    beam_width: int = 4
-    steps: int = 0  # 0 means: pick steps as main_steps // 10
-    lr: float = 0.02
-    momentum: float = 0.9
-    batch_size: int = 4
-    seed: int = 0
-    add_reference: bool = False
-    posterior_scale: float = 1.0
-    grad_clip: float = 1.0
-
-
-def embr_step(
-    batch: list[Utterance],
-    weights: ModelWeights,
-    config: DecoderConfig,
-    beam_width: int,
-    optimizer: SgdMomentum,
-    posterior_scale: float = 1.0,
-    add_reference: bool = False,
-):
-    """One minimum-risk update on a batch; returns the batch stats."""
-    grads, stats = embr_batch_grads(
-        batch, weights, config, beam_width,
-        posterior_scale=posterior_scale, add_reference=add_reference,
-    )
-    if stats.used:
-        optimizer.step(trainable_tensors(weights), grads)
-    return stats
 
 
 @dataclass
@@ -234,6 +199,7 @@ def embr_phase(
         steps = max(1, main_train_steps // 10)
     rng = SeededRng(params.seed).derive(0xE3B)
     optimizer = SgdMomentum(params.lr, params.momentum, params.grad_clip)
+    tensors = trainable_tensors(weights)
     step_risks: list[float] = []
     skipped = 0
     order: list[int] = []
@@ -242,20 +208,9 @@ def embr_phase(
             order.extend(int(i) for i in rng.permutation(len(train_set)))
         batch = [train_set[i] for i in order[: params.batch_size]]
         del order[: params.batch_size]
-        stats = embr_step(
-            batch, weights, config, params.beam_width, optimizer,
-            posterior_scale=params.posterior_scale,
-            add_reference=params.add_reference,
-        )
+        grads, stats = embr_batch_grads(batch, weights, config, params)
+        if stats.used:
+            optimizer.step(tensors, grads)
         step_risks.append(stats.mean_risk)
         skipped += stats.skipped
     return EmbrPhaseResult(weights, step_risks, skipped, steps)
-
-
-def dev_risk(
-    dev_set: list[Utterance],
-    weights: ModelWeights,
-    config: DecoderConfig,
-    params: EmbrParams,
-) -> float:
-    return dataset_risk(dev_set, weights, config, params.beam_width, params.posterior_scale)

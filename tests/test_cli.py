@@ -78,6 +78,33 @@ class TestParams:
         assert main(["params", cfg]) == 2
 
 
+class TestTrainEmbrRanges:
+    """Out-of-range train and embr values fail with a schema error before any
+    work starts, rather than a raw traceback or an EMBR run of empty steps."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "batch_size", 0),
+        ("train", "epochs", 0),
+        ("train", "grad_clip", -1.0),
+        ("embr", "batch_size", 0),
+        ("embr", "beam_width", 0),
+        ("embr", "steps", -1),
+        ("embr", "grad_clip", -1.0),
+    ])
+    def test_out_of_range_exits_schema(self, tmp_path, capsys, section, key, value):
+        doc = {**TOY_CONFIG, section: {**TOY_CONFIG[section], key: value}}
+        cfg = write(tmp_path, "bad.json", doc)
+        model = str(tmp_path / "m.rnnt")
+        dec = tiny_config(vocab_size=3, d_e=8, d_h=8, d_enc=8)
+        save(all_blank_model(dec), dec, model)
+        for argv in (["train", cfg, str(tmp_path / "t.rnnt")],
+                     ["embr", cfg, model, str(tmp_path / "e.rnnt")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error[schema]: ") and f"{key} must be >=" in err
+        assert not (tmp_path / "t.rnnt").exists() and not (tmp_path / "e.rnnt").exists()
+
+
 class TestPipeline:
     def test_train_decode_embr_lookup_round(self, tmp_path, capsys):
         cfg = write(tmp_path, "toy.json", TOY_CONFIG)

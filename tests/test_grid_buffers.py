@@ -74,7 +74,10 @@ CASES = [
     for shape in SHAPES
 ]
 
-# recorded from the grids built one fresh temporary per elementwise step
+# recorded from the grids built one fresh temporary per elementwise step; the
+# 16 f4 risk digests were re-recorded when the risk path stopped rounding its
+# summed frame gradient to f4 before the encoder-stub product (the loss path
+# never did), and equal that older code with the sum started in float64
 GRAD_DIGESTS = {
     "loss-reduced-tied-f8-long": "27e130bb9f035236cbf5abc843571cda828805c4e39c242a38588b8402da59c9",
     "loss-reduced-tied-f8-toy": "2663d8693ae5f33b7193fd03e8cbf3a22d79ebea68e4292e6cbc46e08a139b4e",
@@ -110,36 +113,36 @@ GRAD_DIGESTS = {
     "loss-lstm-untied-f4-toy": "927228d1011feb9c47addd7b180bb4b513261bf211eed3ca040b2d0765ebf752",
     "risk-reduced-tied-f8-long": "e504cd4636a7ef4a8c6977bf70ff94d542d71ba0248f27e83895d56965410cd0",
     "risk-reduced-tied-f8-toy": "738838f1cea818ce967cee7d4f784fc18408a3c6b5b4a7173946d785bcf8eb7f",
-    "risk-reduced-tied-f4-long": "301f3a50105e2aaaab00448bc33e88396ca82055d01501b95331d4534515d33d",
-    "risk-reduced-tied-f4-toy": "5d2d3ea1a13505135f7b286715d958bb7551425e6b3779e31376392fcead1a5e",
+    "risk-reduced-tied-f4-long": "20b5f25f5810a46c20ee3394c0e842a6f2ed5b279615bd9122b977155adb21a0",
+    "risk-reduced-tied-f4-toy": "b631d83b0c5370cd32ecf6a10e8bb7a3e6da6d836a8c9cc05009d8f5ad20d68c",
     "risk-reduced-untied-f8-long": "e053da4b484ddf6804a64ca96093cafc0e2e714dad115ff039771d0a25e1777d",
     "risk-reduced-untied-f8-toy": "836338696a7a3b60c0bc51f4ea3fdb97c3f69a58a63944f9f1ec64c00dc49469",
-    "risk-reduced-untied-f4-long": "634919aed4b825537973136e03ad51d7d311d96e0aa984e511e97ce9aabc8b6e",
-    "risk-reduced-untied-f4-toy": "0a777b48f13009068d782f3cfd843ba88900fdf5a9416615a34040f3fd7749c5",
+    "risk-reduced-untied-f4-long": "cadcd8cb54a72aa048220ac5523f8e9fa27756a2a93441087203607f9830c335",
+    "risk-reduced-untied-f4-toy": "37e605c5754427b72cc2b93aed2cf7893d72f5f13f22af053035fd10f9c25320",
     "risk-stateless1emb-tied-f8-long": "ce8cbcf543b89bb47d0ddfd88027c622986f43ef445f6648f0fb8dc071198adb",
     "risk-stateless1emb-tied-f8-toy": "cada48147239448599e69d948bb9f98ae03f77217db7bbebca52ab1db6dfbee2",
-    "risk-stateless1emb-tied-f4-long": "96435a1f7ddfa0a0d8c573aea56854af94fe61ccbdb4c3840ebf8abc4c99bc09",
-    "risk-stateless1emb-tied-f4-toy": "b462132de609b228714c7c7d9b025b155cf262b6888021070adf75e9e600d053",
+    "risk-stateless1emb-tied-f4-long": "3723936f8fd985e297612ea6f3534cac5ee81db0dec977ce1269dfad9a8e1cc7",
+    "risk-stateless1emb-tied-f4-toy": "c18e33dd3bc2b7182703e190a8967fdcfade60dfd115a98058b4a97aa6026a59",
     "risk-stateless1emb-untied-f8-long": "8f8297d28645ec544dac9024eee624daacf40dcbb850ed81aec6773cfc27e05b",
     "risk-stateless1emb-untied-f8-toy": "c890f13d843628f57fc4ebf25a49375239342ffdb14ae96687efee3b49ddbfc9",
-    "risk-stateless1emb-untied-f4-long": "d3e0c4c21aaffc39c12cb9991f750c0a3ec2e75ea5af0199ea6a75d01e4d4bf0",
-    "risk-stateless1emb-untied-f4-toy": "e0106e01e665af6377f08b740dfe0ee41a9938cf0df079717e87488bc2c92f8c",
+    "risk-stateless1emb-untied-f4-long": "aea285d17c77105f160b1b84db1807069ded3f01337b347ad1b439346c1cd8f1",
+    "risk-stateless1emb-untied-f4-toy": "e6d46f098aed99aac83e5743f6d622d9be8c4af53c04773fe6ce8362f299c126",
     "risk-concat2emb-tied-f8-long": "eba6e2ec26e1849b09009895e32ca13e80c28d98c0fde15ed1edf56ec0c081d5",
     "risk-concat2emb-tied-f8-toy": "c51baa49ef9e64c221db1d1ea5a33c8bd8099c605cf5406bfc91bd4848e08f8f",
-    "risk-concat2emb-tied-f4-long": "a09e127ca3580ce38276b33e971a997e71efe63fc41934ce8e3dfca3c0be6dc5",
-    "risk-concat2emb-tied-f4-toy": "a48b8aba71d58f1740b2a3c5c37a286401949f73164b999edbb1d185f3762c6a",
+    "risk-concat2emb-tied-f4-long": "f4f638f678f05ff7c259ad79441c9e7285791a5caa5304c3747a67652c452338",
+    "risk-concat2emb-tied-f4-toy": "b3a63b5221af93732c0da218bb89b0352859419236d69feae81d5c9ab286ad17",
     "risk-concat2emb-untied-f8-long": "bd815fc91eb51450c5e381eb74fb363bf6edb79bab0475a6b32fdd6834825446",
     "risk-concat2emb-untied-f8-toy": "c97fa6090d81391316a63f85deb2db61974ca0e5b7e36ae3d8824ef20ed9960f",
-    "risk-concat2emb-untied-f4-long": "3013f2245cb140ef7d21f3ab51425429c973ff450fd838ea94d1de22967a984c",
-    "risk-concat2emb-untied-f4-toy": "87afe65338fc5418632d02e9d6a6c46fef9df4493eef3ad83d03d5fc1a60bc51",
+    "risk-concat2emb-untied-f4-long": "21c68f0c4d9b5bd8926f4a6eafc1a66efeb1d3024620c73f0acdebf3acf24955",
+    "risk-concat2emb-untied-f4-toy": "e18a912c00ee565996f07d767713d35f38d6b205a94f506ad0d64d1e31ac37e2",
     "risk-lstm-tied-f8-long": "1d3e99cbce3f257bab8032847a2433e1eb7dce74aeb1e045b5bdcff417b73e74",
     "risk-lstm-tied-f8-toy": "b25adecfb68e257a3e4c4a9d1baaa6a41b674b6ce79a0ec8e19a7241488279db",
-    "risk-lstm-tied-f4-long": "980d0565d6156e468a9febaf6acb0596473292c1c8710bba6abe52085d0b4c96",
-    "risk-lstm-tied-f4-toy": "775ad23f42b278690561a7678daeeffac9fffc85ceeaaec145450b27e9ad57f4",
+    "risk-lstm-tied-f4-long": "2dc0f525b4aa0a98056a0ecf3ec7badda8af3f02d8926033d28b5b780cabc74f",
+    "risk-lstm-tied-f4-toy": "1fd480b47416270f66afc6f1964fdea8e582abf5d683d45934b2a7292cb706c8",
     "risk-lstm-untied-f8-long": "2b47b737bd4cea4591b8f96e7e8d6033b500f5273854bc7a83147364b1207063",
     "risk-lstm-untied-f8-toy": "464959a0ab38f16d0bb271267baf34cf68607ed73aadea7a77f07325e7ad02b7",
-    "risk-lstm-untied-f4-long": "8dd4e52944636aa407ece989d66c8b0864d44c3076e52f52ece5b4e2d3e81e58",
-    "risk-lstm-untied-f4-toy": "00322215c326fcf01796d9a7f45b7d704d1882c4e0e2d42e7521f198d3b612c0",
+    "risk-lstm-untied-f4-long": "27da1ef9c9dee36b87eeff6cfa3065585ba0bafc7c3e80611d010716c3cf0420",
+    "risk-lstm-untied-f4-toy": "ac527d5f24f6b2de4d6e147cbc1fd22662e181362957f417bf4df109ea47f5db",
 }
 
 
