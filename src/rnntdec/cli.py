@@ -26,7 +26,7 @@ from .errors import (
     DivergenceError,
     RnntError,
 )
-from .model_io import load, save, save_lookup
+from .model_io import load, read_archive, save, save_lookup
 from .runconfig import RunConfig, load_run_config
 from .toy import toy_encode
 from .train import embr_phase, toy_corpus, train
@@ -110,6 +110,7 @@ def cmd_embr(args) -> int:
     cfg = load_run_config(args.config)
     cfg.require("task", "train", "embr")
     weights, dec_cfg = load(args.in_model)
+    extra = read_archive(args.in_model).extra
     params = cfg.embr
     if args.seed is not None:
         params = replace(params, seed=args.seed)
@@ -118,7 +119,7 @@ def cmd_embr(args) -> int:
     risk_before = dev_risk(dev_set, weights, dec_cfg, params)
     result = embr_phase(weights, dec_cfg, train_set, params, main_train_steps=main_steps)
     risk_after = dev_risk(dev_set, result.weights, dec_cfg, params)
-    save(result.weights, dec_cfg, args.out_model, seed=params.seed)
+    save(result.weights, dec_cfg, args.out_model, seed=params.seed, extra=extra)
     print(f"model: {args.out_model}")
     print(f"embr steps: {result.steps} (main training steps: {main_steps})")
     print(f"skipped utterances: {result.skipped}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, fields, replace
 
@@ -34,8 +35,9 @@ class DictCodec:
 
     @classmethod
     def from_dict(cls, d: dict, path: str | None = None):
-        """Build from a JSON object, rejecting unknown keys and plain fields
-        (int, float, bool, str) of the wrong JSON type.  Every error is a
+        """Build from a JSON object, rejecting unknown keys, plain fields
+        (int, float, bool, str) of the wrong JSON type and non-finite
+        floats (JSON's NaN and Infinity).  Every error is a
         ConfigError naming ``path`` (default: the class name), as
         ``path.key`` when one key is at fault."""
         path = path or cls.__name__
@@ -52,6 +54,8 @@ class DictCodec:
                 raise ConfigError(
                     f"{path}.{key}: expected {known[key].__name__}, got {type(value).__name__}"
                 )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{path}.{key}: must be finite, got {value}")
         try:
             return cls(**d)
         except (TypeError, ConfigError) as e:
@@ -182,5 +186,5 @@ def preset(name: str) -> DecoderConfig:
     """Benchmark-scale decoder presets (4096-token vocabulary)."""
     try:
         return _PRESETS[name]()
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable JSON list or object
         raise ConfigError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}") from None

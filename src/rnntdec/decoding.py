@@ -3,18 +3,17 @@
 Both decoders are frame-synchronous: at each encoder frame a hypothesis may
 emit up to ``max_symbols_per_frame`` non-blank labels before a blank advances
 time.  Since the prediction network only sees the last ``history_len``
-labels, its outputs are cached per history window during a decode (the
-dynamic form of the lookup-table conversion below): one dict from window
-to prediction row, read by both decoders.
+labels, each decode caches its outputs in a dict from history window to
+prediction row (the dynamic form of the lookup-table conversion below).
 
 Within one frame the joint output also depends only on the history window,
 so beam search scores each (frame, window) pair once.  It expands its
-hypotheses in rounds, one batch per round: the histories the cache has not
-seen go through one batched prediction call, the windows not yet scored at
-this frame go through one joint call and one row-wise log-softmax into a
-per-frame memo keyed by window, and every hypothesis's row is gathered
-from that memo; a round whose windows were all scored earlier in the frame
-makes no network call.  The next frontier is chosen from the (hypotheses x
+hypotheses in rounds, one batch per round.  Its prediction rows and its
+per-frame memo of log-prob rows are both dicts keyed by window, read through
+one helper, ``_rows``: the windows a dict lacks go through one batched call
+(the prediction network, or the joint plus a row-wise log-softmax) and are
+stored.  A round whose windows were all scored earlier in the frame makes no
+network call.  The next frontier is chosen from the (hypotheses x
 vocabulary) score matrix with ``np.partition``.  Candidates tied at the
 beam's last score are settled by label sequence, so the n-best list is the
 one a full sort by ``(-log_prob, labels)`` would give.
@@ -61,33 +60,14 @@ class GreedyResult:
     log_prob: float
 
 
-class _PnCache:
-    """Per-decode prediction outputs keyed by history window.
-
-    ``rows`` maps a window (``PredictionState.ids``: the last N labels,
-    oldest first, pad-filled) to its prediction output.  Rows are computed
-    once and never change.
-    """
-
-    def __init__(self, weights: ModelWeights, config: DecoderConfig):
-        self.weights = weights
-        self.config = config
-        self.rows: dict[tuple[int, ...], np.ndarray] = {}
-
-    def get(self, state: PredictionState) -> np.ndarray:
-        g = self.rows.get(state.ids)
-        if g is None:
-            g = self.rows[state.ids] = prediction_forward(state, self.weights, self.config)
-        return g
-
-    def stack(self, windows) -> np.ndarray:
-        """(len(windows), pn_out) rows; all misses go through one batched
-        prediction call."""
-        missing = [k for k in dict.fromkeys(windows) if k not in self.rows]
-        if missing:
-            ids = np.array(missing)[:, ::-1]  # recent first
-            self.rows.update(zip(missing, prediction_forward(ids, self.weights, self.config)))
-        return np.array([self.rows[k] for k in windows])
+def _rows(table: dict, keys, compute) -> np.ndarray:
+    """``table``'s rows for ``keys``, stacked in key order.  The distinct
+    keys ``table`` lacks go through one ``compute(missing)`` call, whose
+    rows are stored."""
+    missing = [k for k in dict.fromkeys(keys) if k not in table]
+    if missing:
+        table.update(zip(missing, compute(missing)))
+    return np.array([table[k] for k in keys])
 
 
 def _check_frames(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderConfig) -> None:
@@ -107,9 +87,9 @@ def greedy_decode(
     cap) advances to the next frame.  Blanks never appear in the output.
     """
     _check_frames(enc_frames, weights, config)
-    cache = _PnCache(weights, config)
+    pn: dict[tuple[int, ...], np.ndarray] = {}  # window -> prediction row
     state = PredictionState.initial(config)
-    g = cache.get(state)
+    g = prediction_forward(state, weights, config)
     labels: list[int] = []
     log_prob = 0.0
     blank = config.blank_id
@@ -124,7 +104,9 @@ def greedy_decode(
                 break
             labels.append(k)
             state = state.push(k)
-            g = cache.get(state)
+            g = pn.get(state.ids)
+            if g is None:
+                g = pn[state.ids] = prediction_forward(state, weights, config)
             emitted += 1
             if emitted >= config.max_symbols_per_frame:
                 break
@@ -140,18 +122,19 @@ def beam_decode(
     """Time-synchronous beam search with label-sequence merging.
 
     Each frame runs ``max_symbols_per_frame + 1`` expansion rounds over a
-    frontier of at most ``beam_width`` hypotheses.  A round looks up the
-    log-probs of its frontier's history windows in the frame's memo; the
-    windows not yet scored at this frame go through one batched joint call
-    and one row-wise log-softmax, so each (frame, window) pair is scored
-    once.  Every frontier hypothesis takes blank into the next frame's
-    beam, where identical label sequences merge by log-sum-exp of their
-    alignment log-probs.  Except in the last round, the extensions
-    ``lp + logp[:, :V]`` form the next frontier: the ``beam_width`` best by
-    ``(-log_prob, labels)``, found with ``np.partition`` at the B-th score,
-    keeping every candidate tied at that threshold and sorting only those.
-    Distinct frontier sequences have distinct extensions, so a round's
-    candidates never merge.
+    frontier of at most ``beam_width`` hypotheses.  A round reads its
+    frontier's log-prob rows through ``_rows`` from the frame's memo, a dict
+    from window to log-prob row that starts empty at every frame.  Windows
+    not yet scored at this frame go through one joint call and one row-wise
+    log-softmax, on prediction rows read through ``_rows`` from the decode's
+    own dict, so each (frame, window) pair is scored once.  Every frontier
+    hypothesis takes blank into the next frame's beam, where identical label
+    sequences merge by log-sum-exp of their alignment log-probs.  Except in
+    the last round, the extensions ``lp + logp[:, :V]`` form the next
+    frontier: the ``beam_width`` best by ``(-log_prob, labels)``, found with
+    ``np.partition`` at the B-th score, keeping every candidate tied at that
+    threshold and sorting only those.  Distinct frontier sequences have
+    distinct extensions, so a round's candidates never merge.
 
     Returns the n-best list sorted by descending log-prob; each entry's
     ``pn_out`` is its own array.
@@ -159,30 +142,26 @@ def beam_decode(
     _check_frames(enc_frames, weights, config)
     if beam_width < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam_width}")
-    cache = _PnCache(weights, config)
     blank = config.blank_id
     last_round = config.max_symbols_per_frame
     n = config.history_len
     pad = (config.pad_id,) * n
-    # one row per window a frame can meet, in the joint's output dtype (f8 for
-    # f8 frames on an f4 model)
-    scored = np.empty((beam_width * (last_round + 1), config.num_logits),
-                      np.result_type(enc_frames.dtype, weights.dtype))
+    pn: dict[tuple[int, ...], np.ndarray] = {}  # window -> prediction row
+
+    def predict(windows):
+        return prediction_forward(np.array(windows)[:, ::-1], weights, config)  # recent first
 
     beams: dict[tuple[int, ...], float] = {(): 0.0}
     for f_t in enc_frames:
-        memo: dict[tuple[int, ...], int] = {}  # window -> its row of ``scored``
+        memo: dict[tuple[int, ...], np.ndarray] = {}  # window -> log-prob row at f_t
+
+        def score(windows):
+            return log_softmax(joint_forward(f_t, _rows(pn, windows, predict), weights, config))
+
         next_beams: dict[tuple[int, ...], float] = {}
         frontier = list(beams.items())
         for round_idx in range(last_round + 1):
-            windows = [(pad + labels)[-n:] for labels, _ in frontier]
-            fresh = [k for k in dict.fromkeys(windows) if k not in memo]
-            if fresh:
-                rows = log_softmax(joint_forward(f_t, cache.stack(fresh), weights, config))
-                used = len(memo)
-                memo.update(zip(fresh, range(used, used + len(fresh))))
-                scored[used:len(memo)] = rows
-            logp = scored[[memo[k] for k in windows]]
+            logp = _rows(memo, [(pad + labels)[-n:] for labels, _ in frontier], score)
             for (labels, lp), blank_logp in zip(frontier, logp[:, blank].tolist()):
                 blank_lp = lp + blank_logp
                 prev = next_beams.get(labels)
@@ -192,9 +171,9 @@ def beam_decode(
                 frontier = _best_extensions(frontier, lps[:, None] + logp[:, :blank], beam_width)
         beams = _top_b(next_beams, beam_width)
 
-    windows = [(pad + labels)[-n:] for labels in beams]
+    pn_out = _rows(pn, [(pad + labels)[-n:] for labels in beams], predict)
     nbest = [Hypothesis(labels, float(lp), PredictionState.from_labels(labels, config), g.copy())
-             for (labels, lp), g in zip(beams.items(), cache.stack(windows))]
+             for (labels, lp), g in zip(beams.items(), pn_out)]
     nbest.sort(key=Hypothesis.sort_key)
     return nbest
 

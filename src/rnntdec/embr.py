@@ -160,20 +160,13 @@ def utterance_risk_grads(
 
 def _decoded(utts, weights, config, beam_width, add_reference=False):
     """Yield (utt, frames, n-best labels) per utterance, encoding each once;
-    a non-empty list gets the reference appended when asked and missing."""
+    the list gets the reference appended when asked and missing."""
     for utt in utts:
         frames = frames_for(utt, weights)
         labels = [h.labels for h in beam_decode(frames, weights, config, beam_width)]
-        if labels and add_reference and tuple(utt.labels) not in labels:
+        if add_reference and tuple(utt.labels) not in labels:
             labels.append(tuple(utt.labels))
         yield utt, frames, labels
-
-
-@dataclass
-class EmbrBatchStats:
-    mean_risk: float
-    used: int
-    skipped: int
 
 
 def embr_batch_grads(
@@ -181,15 +174,12 @@ def embr_batch_grads(
 ):
     """Decode each utterance, compute risk gradients, average over the batch.
 
-    Utterances whose beam comes back empty are skipped and counted.
-    Returns (grads, EmbrBatchStats).
+    Returns (mean risk, grads).
     """
     decoded = _decoded(batch, weights, config, params.beam_width, params.add_reference)
-    used = [d for d in decoded if d[2]]
-    mean_risk, grads = batch_mean(
-        (_risk_grads(*d, weights, config, params.posterior_scale) for d in used), weights
+    return batch_mean(
+        (_risk_grads(*d, weights, config, params.posterior_scale) for d in decoded), weights
     )
-    return grads, EmbrBatchStats(mean_risk, len(used), len(batch) - len(used))
 
 
 def dev_risk(

@@ -77,7 +77,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def logaddexp(a: float, b: float) -> float:
-    """Two-operand log-domain add for lattice recursions."""
+    """Two-operand log-domain add of scalars, for beam search's merge of
+    identical label sequences."""
     if a == -np.inf:
         return b
     if b == -np.inf:

@@ -56,7 +56,8 @@ def _parse_decoder(d, path: str) -> DecoderConfig:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object or preset name")
     d = dict(d)
-    d.pop("name", None)
+    if not isinstance(d.pop("name", ""), str):
+        raise ConfigError(f"{path}.name: expected str")
     base = d.pop("preset", None)
     if base is not None:
         merged = preset(base).to_dict()

@@ -176,7 +176,7 @@ def train(
 class EmbrPhaseResult:
     weights: ModelWeights
     step_risks: list[float]
-    skipped: int
+    skipped: int  # always 0 (beam search never returns an empty n-best); the benchmark reads it
     steps: int
 
 
@@ -201,16 +201,13 @@ def embr_phase(
     optimizer = SgdMomentum(params.lr, params.momentum, params.grad_clip)
     tensors = trainable_tensors(weights)
     step_risks: list[float] = []
-    skipped = 0
     order: list[int] = []
     for _ in range(steps):
         if len(order) < params.batch_size:
             order.extend(int(i) for i in rng.permutation(len(train_set)))
         batch = [train_set[i] for i in order[: params.batch_size]]
         del order[: params.batch_size]
-        grads, stats = embr_batch_grads(batch, weights, config, params)
-        if stats.used:
-            optimizer.step(tensors, grads)
-        step_risks.append(stats.mean_risk)
-        skipped += stats.skipped
-    return EmbrPhaseResult(weights, step_risks, skipped, steps)
+        risk, grads = embr_batch_grads(batch, weights, config, params)
+        optimizer.step(tensors, grads)
+        step_risks.append(risk)
+    return EmbrPhaseResult(weights, step_risks, 0, steps)

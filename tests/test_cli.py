@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from rnntdec import greedy_decode, init_weights, load, save, toy_encode
+from rnntdec import greedy_decode, init_weights, load, read_archive, save, toy_encode
 from rnntdec.cli import _load_input_frames, main
 from rnntdec.weights import init_encoder_stub
 
@@ -77,6 +77,15 @@ class TestParams:
         cfg = write(tmp_path, "bad.json", {"decoderz": {}})
         assert main(["params", cfg]) == 2
 
+    @pytest.mark.parametrize("doc", [
+        {"decoder": {"preset": ["lstm"]}},
+        {"bench": {"decoders": [{"preset": {}}]}},
+        {"bench": {"decoders": [{"preset": "lstm", "name": float("nan")}]}},
+    ])
+    def test_non_string_preset_or_name_exits_schema(self, tmp_path, capsys, doc):
+        assert main(["params", write(tmp_path, "bad.json", doc)]) == 2
+        assert capsys.readouterr().err.startswith("error[schema]: ")
+
 
 class TestTrainEmbrRanges:
     """Out-of-range train and embr values fail with a schema error before any
@@ -102,6 +111,25 @@ class TestTrainEmbrRanges:
             assert main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error[schema]: ") and f"{key} must be >=" in err
+        assert not (tmp_path / "t.rnnt").exists() and not (tmp_path / "e.rnnt").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("section, key", [
+        ("task", "noise_std"),  # NaN used to train with no noise and exit 0
+        ("train", "lr"),  # NaN used to exit 5, "diverged"
+        ("embr", "posterior_scale"),  # NaN used to exit 1, error[domain]
+    ])
+    def test_non_finite_float_exits_schema(self, tmp_path, capsys, section, key, value):
+        doc = {**TOY_CONFIG, section: {**TOY_CONFIG[section], key: value}}
+        cfg = write(tmp_path, "bad.json", doc)  # json writes NaN / Infinity / -Infinity
+        model = str(tmp_path / "m.rnnt")
+        dec = tiny_config(vocab_size=3, d_e=8, d_h=8, d_enc=8)
+        save(all_blank_model(dec), dec, model)
+        for argv in (["train", cfg, str(tmp_path / "t.rnnt")],
+                     ["embr", cfg, model, str(tmp_path / "e.rnnt")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error[schema]: {section}.{key}: must be finite")
         assert not (tmp_path / "t.rnnt").exists() and not (tmp_path / "e.rnnt").exists()
 
 
@@ -141,6 +169,15 @@ class TestPipeline:
         assert main(["convert-lookup", model, table]) == 0
         out = capsys.readouterr().out
         assert "entries: 16 x 8" in out  # (3+1)^2 contexts, d_e columns
+
+    def test_embr_keeps_extra_manifest_fields(self, tmp_path, capsys):
+        dec = tiny_config(vocab_size=3, d_e=8, d_h=8, d_enc=8)
+        w = init_weights(dec, seed=0)
+        w.enc_stub = init_encoder_stub(4, dec.d_enc, seed=1)
+        model, out_model = str(tmp_path / "m.rnnt"), str(tmp_path / "e.rnnt")
+        save(w, dec, model, extra={"note": "kept", "origin": {"run": 7}})
+        assert main(["embr", write(tmp_path, "toy.json", TOY_CONFIG), model, out_model]) == 0
+        assert read_archive(out_model).extra == {"note": "kept", "origin": {"run": 7}}
 
     def test_decode_all_blank_prints_empty_transcript(self, tmp_path, capsys):
         cfg = tiny_config(vocab_size=3, d_e=4, d_h=4, d_enc=4)
