@@ -44,7 +44,7 @@ from .errors import DomainError, StateError
 from .mathops import LN_EPS, sigmoid
 from .nets import prediction_forward
 from .toy import encode_backward
-from .weights import ModelWeights, check_variant, get_tensor, specs_of
+from .weights import ModelWeights, check_config, get_tensor, specs_of
 
 
 @dataclass
@@ -116,7 +116,7 @@ def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: Deco
 
     Returns (logits (T, U+1, V+1), ForwardCache).
     """
-    check_variant(weights, config)
+    config = check_config(weights, config)
     labels = np.asarray(target, dtype=np.intp)
     if labels.ndim != 1 or ((labels < 0) | (labels >= config.vocab_size)).any():
         raise DomainError(f"target ids must lie in [0, {config.vocab_size})")
@@ -151,12 +151,11 @@ def backprop_decoder(
     an encoder.  The cache's ``hidden`` grid becomes scratch space, so a
     second backward pass through the same cache raises StateError.
     """
-    check_variant(weights, config)
+    cfg = check_config(weights, config)
     if cache is None:
         raise StateError("backprop_decoder needs the cache from forward_grid")
     if cache.hidden is None:
         raise StateError("this forward cache was already used by a backward pass")
-    cfg = config
     V = cfg.vocab_size
     grads = zero_grads(weights)
 

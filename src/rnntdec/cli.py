@@ -149,11 +149,11 @@ def _input_array(doc: dict, key: str, width: int, dtype, path: str) -> np.ndarra
 
 def _load_input_frames(path: str, weights):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise ArchiveError(f"cannot read input {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict) or ("frames" not in doc) == ("features" not in doc):
         raise ConfigError(f"{path}: input must contain exactly one of 'frames' or 'features'")

@@ -30,7 +30,7 @@ from .config import DecoderConfig
 from .errors import CapacityError, ConfigError, ShapeError
 from .mathops import log_softmax, logaddexp
 from .nets import PredictionState, joint_forward, prediction_forward
-from .weights import ModelWeights, check_variant
+from .weights import ModelWeights, check_config
 
 # windows per prediction call in ``convert_to_lookup``: a reduced batch holds
 # an (n, H, N, d_e) product, far too large at the full table budget
@@ -70,11 +70,13 @@ def _rows(table: dict, keys, compute) -> np.ndarray:
     return np.array([table[k] for k in keys])
 
 
-def _check_frames(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderConfig) -> None:
-    check_variant(weights, config)
+def _check_frames(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderConfig) -> DecoderConfig:
+    """The model's config (``check_config``), once the frames fit it."""
+    config = check_config(weights, config)
     d_enc = weights.enc_w.shape[0]
     if enc_frames.ndim != 2 or enc_frames.shape[1] != d_enc:
         raise ShapeError(f"encoder frames {enc_frames.shape} != (T, {d_enc})")
+    return config
 
 
 def greedy_decode(
@@ -86,7 +88,7 @@ def greedy_decode(
     network and stays on the frame; blank (or hitting the per-frame symbol
     cap) advances to the next frame.  Blanks never appear in the output.
     """
-    _check_frames(enc_frames, weights, config)
+    config = _check_frames(enc_frames, weights, config)
     pn: dict[tuple[int, ...], np.ndarray] = {}  # window -> prediction row
     state = PredictionState.initial(config)
     g = prediction_forward(state, weights, config)
@@ -139,7 +141,7 @@ def beam_decode(
     Returns the n-best list sorted by descending log-prob; each entry's
     ``pn_out`` is its own array.
     """
-    _check_frames(enc_frames, weights, config)
+    config = _check_frames(enc_frames, weights, config)
     if beam_width < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam_width}")
     blank = config.blank_id
@@ -242,7 +244,7 @@ def convert_to_lookup(
     Raises CapacityError before doing any work when (V+1)^N exceeds
     ``max_entries`` (large vocabularies make the table impractical).
     """
-    check_variant(weights, config)
+    config = check_config(weights, config)
     n = config.history_len
     entries = config.vocab_ext**n
     if entries > max_entries:

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedFormatError,
     ValidationError,
 )
-from .weights import ModelWeights, get_tensor, specs_of, tensor_specs, weights_from_tensors
+from .weights import ModelWeights, check_config, get_tensor, specs_of, tensor_specs, weights_from_tensors
 
 FORMAT_VERSION = 1
 _KNOWN_KEYS = {"format_version", "kind", "requires", "config", "tensors", "aliases", "seed"}
@@ -107,9 +107,10 @@ def save(
     seed: int | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write a model archive; byte-identical output for identical inputs."""
+    """Write a model archive; byte-identical output for identical inputs.
+    ``config`` must be the one ``weights`` were built for (``check_config``)."""
     weights.validate()
-    manifest = _manifest("model", config, seed)
+    manifest = _manifest("model", check_config(weights, config), seed)
     specs = specs_of(weights)
     aliases = {s.name: s.alias for s in specs if s.alias is not None}
     if aliases:
@@ -150,7 +151,7 @@ def _parse_archive(path: str) -> ModelArchive:
         raise CorruptArchiveError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(raw[8 : 8 + manifest_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise CorruptArchiveError(f"{path}: manifest is not valid JSON: {e}") from e
     if not isinstance(manifest, dict):
         raise CorruptArchiveError(f"{path}: manifest is not a JSON object")

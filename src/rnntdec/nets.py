@@ -17,7 +17,7 @@ import numpy as np
 from .config import CONCAT_2EMB, LSTM, REDUCED, STATELESS_1EMB, DecoderConfig
 from .errors import DomainError, ShapeError
 from .mathops import layer_norm, sigmoid, swish
-from .weights import LstmLayer, ModelWeights, check_variant
+from .weights import LstmLayer, ModelWeights, check_config
 
 
 class PredictionState:
@@ -157,7 +157,7 @@ def prediction_forward(
     ``lstm_cell`` activation, step by step and layer by layer; nothing for
     the two embedding variants, whose backward pass needs only the ids.
     """
-    check_variant(weights, config)
+    config = check_config(weights, config)
     ids, single = _id_matrix(history)
     if ids.shape[1] != config.history_len:
         raise DomainError(f"history holds {ids.shape[1]} ids, config expects {config.history_len}")
@@ -185,7 +185,10 @@ def _lstm_history(ids, E, weights: ModelWeights, config: DecoderConfig, cache):
 
     The LSTM runs over the non-pad labels, oldest first.  Pads are skipped,
     so a fresh state yields the zero vector; the recurrent state always
-    starts from zero at the window boundary.
+    starts from zero at the window boundary.  Histories run one at a time:
+    one masked (n, ·) cell per step gives the same forward rows bit for bit,
+    but its backward pass sums each weight gradient over the rows in one
+    product per step, which moves the gradients' last bits.
     """
     cells = None
     if cache is not None:
@@ -251,5 +254,5 @@ def joint_forward(
 ) -> np.ndarray:
     """Full joint network: combine one encoder frame with one PN output,
     or with a batch (n, d_pn) of them to give (n, V+1) logits."""
-    check_variant(weights, config)
+    check_config(weights, config)
     return output_logits(joint_hidden(f_t, g_u, weights), weights)

@@ -114,10 +114,10 @@ def parse_run_config(doc: dict) -> RunConfig:
 
 def load_run_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError(f"{path} is not valid JSON: {e}") from e
     return parse_run_config(doc)

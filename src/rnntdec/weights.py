@@ -15,13 +15,13 @@ entry is an alias with no storage of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import CONCAT_2EMB, LSTM, REDUCED, DecoderConfig
+from .config import LSTM, REDUCED, DecoderConfig
 from .errors import ConfigError, ValidationError
 from .rng import SeededRng
 
@@ -114,10 +114,6 @@ def _const(name, shape, init="zeros") -> TensorSpec:
     return TensorSpec(name, shape, init, 0, True)
 
 
-def _lstm_in_dim(config: DecoderConfig, layer: int) -> int:
-    return config.d_e if layer == 0 else config.lstm_proj
-
-
 @lru_cache(maxsize=64)
 def tensor_specs(config: DecoderConfig, d_feat: int | None = None) -> tuple[TensorSpec, ...]:
     """Every tensor of a ``config`` model, in archive order.
@@ -139,7 +135,7 @@ def tensor_specs(config: DecoderConfig, d_feat: int | None = None) -> tuple[Tens
     elif c.variant == LSTM:
         gates = 4 * c.lstm_units
         for i in range(c.lstm_layers):
-            in_dim = _lstm_in_dim(c, i)
+            in_dim = c.d_e if i == 0 else c.lstm_proj
             specs += [
                 _normal(f"lstm{i}_w_x", (in_dim, gates), in_dim),
                 _normal(f"lstm{i}_w_h", (c.lstm_proj, gates), c.lstm_proj),
@@ -243,34 +239,22 @@ def tied_savings(config: DecoderConfig) -> int:
 def step_flops(config: DecoderConfig) -> int:
     """Analytic FLOPs for one decode step (prediction + joint forward).
 
-    Convention: a dot product of length n costs 2n (multiply + add);
-    scalar nonlinearities cost 4 each.  Embedding lookups are free.
+    Convention: a dot product of length n costs 2n (multiply + add), so each
+    element of a Gaussian-initialized tensor in ``tensor_specs`` costs 2 per
+    use and each element of a bias or gain 1; scalar nonlinearities cost 4
+    each.  Embedding lookups are free, and the LSTM's tensors are used once
+    per history label.  Only the work without parameters is per variant.
     """
-    cfg = config
-    act = 4
-    flops = 0
-    if cfg.variant == REDUCED:
-        flops += 2 * cfg.num_heads * cfg.history_len * cfg.d_e  # attention weights
-        flops += 2 * cfg.history_len * cfg.d_e  # weighted average
-        flops += 2 * cfg.d_e * cfg.d_e + cfg.d_e  # projection + bias
-        flops += 8 * cfg.d_e  # layer norm
-        flops += act * cfg.d_e  # swish
-    elif cfg.variant == CONCAT_2EMB:
-        flops += 0  # concat of two lookups
-    elif cfg.variant == LSTM:
-        for layer in range(cfg.lstm_layers):
-            in_dim = _lstm_in_dim(cfg, layer)
-            per_step = (
-                2 * (in_dim + cfg.lstm_proj) * 4 * cfg.lstm_units
-                + 4 * cfg.lstm_units  # bias add
-                + act * 6 * cfg.lstm_units  # gate activations + state blend
-                + 2 * cfg.lstm_units * cfg.lstm_proj
-            )
-            flops += per_step * cfg.history_len
-    flops += 2 * cfg.d_enc * cfg.d_h  # encoder projection
-    flops += 2 * cfg.pn_out_dim * cfg.d_h  # prediction projection
-    flops += cfg.d_h + act * cfg.d_h  # joint bias + tanh
-    flops += 2 * cfg.d_h * cfg.num_logits + cfg.num_logits  # output rows + bias
+    c = config
+    flops = 4 * c.d_h  # joint tanh
+    if c.variant == REDUCED:
+        flops += 2 * c.history_len * c.d_e + 6 * c.d_e + 4 * c.d_e  # average, LayerNorm, Swish
+    elif c.variant == LSTM:
+        flops += 24 * c.lstm_units * c.lstm_layers * c.history_len  # gates + state blend
+    for s in tensor_specs(c):
+        if s.name != "emb":
+            uses = c.history_len if s.name.startswith("lstm") else 1
+            flops += (2 if s.init == "normal" else 1) * math.prod(s.shape) * uses
     return flops
 
 
@@ -296,14 +280,15 @@ def clone_weights(weights: ModelWeights) -> ModelWeights:
     })
 
 
-def check_variant(weights: ModelWeights, config: DecoderConfig) -> None:
-    """Raise ConfigError when weights and config disagree on the variant."""
-    if weights.config.variant != config.variant:
-        raise ConfigError(
-            f"weights built for variant {weights.config.variant!r}, "
-            f"config asks for {config.variant!r}"
-        )
-    if config.variant == REDUCED and weights.positions is None:
-        raise ConfigError("reduced decoder weights are missing position vectors")
-    if config.variant == LSTM and not weights.lstm:
-        raise ConfigError("lstm decoder weights are missing recurrent layers")
+def check_config(weights: ModelWeights, config: DecoderConfig) -> DecoderConfig:
+    """The config ``weights`` were built for, ``weights.config``.
+
+    A model carries its config, so a caller's ``config`` must equal it;
+    otherwise raises ConfigError naming each field that differs.
+    """
+    own = weights.config
+    if config is own or config == own:
+        return own
+    diff = [f"{f.name} (model {getattr(own, f.name)!r}, config {getattr(config, f.name, None)!r})"
+            for f in fields(own) if getattr(config, f.name, None) != getattr(own, f.name)]
+    raise ConfigError("config disagrees with the model's on " + (", ".join(diff) or "its type"))

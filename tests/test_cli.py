@@ -40,6 +40,27 @@ def write(tmp_path, name, doc):
     return str(path)
 
 
+# file contents that no JSON reading takes: bytes that are not UTF-8, an
+# integer past Python's 4300-digit conversion limit, and arrays nested past
+# the recursion limit
+UNREADABLE_JSON = {
+    "not_utf8": b'\xff\xfe{"frames": []}',
+    "huge_int": b'{"frames": [[' + b"1" * 5000 + b"]]}",
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+def write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
+def assert_one_schema_line(err, path):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[schema]: ") and path in lines[0]
+
+
 class TestParams:
     def test_table1_ordering_and_savings(self, tmp_path, capsys):
         cfg = write(tmp_path, "t1.json", TABLE1_CONFIG)
@@ -85,6 +106,12 @@ class TestParams:
     def test_non_string_preset_or_name_exits_schema(self, tmp_path, capsys, doc):
         assert main(["params", write(tmp_path, "bad.json", doc)]) == 2
         assert capsys.readouterr().err.startswith("error[schema]: ")
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+    def test_unreadable_config_exits_schema(self, tmp_path, capsys, case):
+        cfg = write_bytes(tmp_path, "bad.json", UNREADABLE_JSON[case])
+        assert main(["params", cfg]) == 2
+        assert_one_schema_line(capsys.readouterr().err, cfg)
 
 
 class TestTrainEmbrRanges:
@@ -301,6 +328,16 @@ class TestDecodeInputValidation:
         for key, width in (("frames", 4), ("features", 3)):
             inp = write(tmp_path, "in.json", {key: self.BAD_ROWS[case](width)})
             self.assert_schema_exit(["decode", model, inp, "--json", *beam], inp, key, capsys)
+
+    @pytest.mark.parametrize("beam", [[], ["--beam", "2"]])
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_JSON))
+    def test_unreadable_input_exits_schema(self, tmp_path, capsys, case, beam):
+        model = self.model(tmp_path)
+        inp = write_bytes(tmp_path, "in.json", UNREADABLE_JSON[case])
+        assert main(["decode", model, inp, *beam]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_schema_line(err, inp)
 
     def test_value_beyond_f4_range_is_rejected_for_f4_models(self, tmp_path, capsys):
         model = self.model(tmp_path, np.float32)

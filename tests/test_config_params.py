@@ -171,6 +171,15 @@ class TestStepFlops:
         long = step_flops(tiny_config(history_len=8, d_e=64, d_h=64))
         assert long < short * 1.5
 
+    # each preset's count as the per-variant formula gave it before the count
+    # was derived from the tensor table
+    @pytest.mark.parametrize("name, flops", [
+        ("lstm", 45638017), ("stateless1emb", 6726017), ("concat2emb", 7545217),
+        ("reduced_large", 18405377), ("reduced_small", 3385217),
+    ])
+    def test_preset_counts_pinned(self, name, flops):
+        assert step_flops(preset(name)) == flops
+
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 

@@ -274,6 +274,18 @@ def test_unknown_optional_fields_survive_resave(tmp_path):
     assert read_archive(path2).extra == {"training_note": "toy run 7"}
 
 
+@pytest.mark.parametrize("manifest", [
+    b'\xff\xfe{}',  # not UTF-8
+    b'{"format_version": ' + b"1" * 5000 + b"}",  # past the 4300-digit int limit
+    b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+], ids=["not_utf8", "huge_int", "deep"])
+def test_unreadable_manifest_is_corruption_error(manifest, tmp_path):
+    path = tmp_path / "m.rnnt"
+    path.write_bytes(struct.pack("<Q", len(manifest)) + manifest)
+    with pytest.raises(CorruptArchiveError, match="manifest is not valid JSON"):
+        load(str(path))
+
+
 def test_reserved_extra_key_rejected(tmp_path):
     cfg = tiny_config()
     w = init_weights(cfg, seed=0)
