@@ -23,10 +23,9 @@ from .decoding import (
 )
 from .embr import EmbrParams, NBestList, RiskResult, edit_distance, embr_risk
 from .lattice import LossResult, TransducerLattice, transducer_loss
-from .mathops import layer_norm, log_softmax, matmul, sigmoid, swish
+from .mathops import layer_norm, log_softmax, sigmoid, swish
 from .model_io import load, load_lookup, read_archive, save, save_lookup
 from .nets import (
-    PredictionState,
     embed,
     joint_forward,
     output_logits,

@@ -1,7 +1,7 @@
 """Wall-clock benchmarking of single decoder steps.
 
 One step is one prediction-network forward plus one joint forward, the work
-a decoder does per emitted symbol.  Inputs (frames, history states) are
+a decoder does per emitted symbol.  Inputs (frames, history windows) are
 generated ahead of time; the timed region contains only the step function.
 """
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DecoderConfig, DictCodec
 from .errors import ConfigError
-from .nets import PredictionState, joint_forward, prediction_forward
+from .nets import joint_forward, prediction_forward
 from .rng import SeededRng
 from .weights import ModelWeights
 
@@ -54,7 +54,7 @@ def make_step_fn(
     seed: int = 0,
     pool_size: int = 16,
 ):
-    """Closure running one decode step on pre-generated frames/states.
+    """Closure running one decode step on pre-generated frames/windows.
 
     Cycles through ``pool_size`` random (frame, populated-history) pairs so
     repeated calls do not hit one identical cached input.
@@ -63,17 +63,18 @@ def make_step_fn(
     frames = [
         rng.normal(config.d_enc, dtype=weights.dtype) for _ in range(pool_size)
     ]
-    states = []
-    for _ in range(pool_size):
-        labels = rng.integers(config.history_len, 0, config.vocab_size)
-        states.append(PredictionState.from_labels([int(x) for x in labels], config))
+    # one-row recent-first id matrices of N labels drawn oldest first
+    windows = [
+        np.array([rng.integers(config.history_len, 0, config.vocab_size)[::-1]])
+        for _ in range(pool_size)
+    ]
     idx = 0  # rotating index, plain int for speed
 
     def step():
         nonlocal idx
         i = idx
         idx = (i + 1) % pool_size
-        g = prediction_forward(states[i], weights, config)
+        g = prediction_forward(windows[i], weights, config)[0]
         return joint_forward(frames[i], g, weights, config)
 
     return step

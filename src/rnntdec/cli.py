@@ -167,34 +167,38 @@ def _load_input_frames(path: str, weights):
 
 def cmd_decode(args) -> int:
     weights, dec_cfg = load(args.model)
-    frames = _load_input_frames(args.input, weights)
-    if args.beam is not None:
-        nbest = beam_decode(frames, weights, dec_cfg, args.beam)
+    # overflow, not "invalid": finite inputs reach NaN only through an
+    # overflow, and small f4 BLAS products can raise the invalid flag on
+    # finite operands
+    try:
+        with np.errstate(over="raise"):
+            frames = _load_input_frames(args.input, weights)
+            if args.beam is None:
+                result = greedy_decode(frames, weights, dec_cfg)
+            else:
+                nbest = beam_decode(frames, weights, dec_cfg, args.beam)
+    except FloatingPointError as e:  # finite input too large for the model's arithmetic
+        raise ConfigError(
+            f"{args.input}: input values overflow {weights.dtype} arithmetic ({e})"
+        ) from None
+    if args.beam is None:
         if args.json:
-            _emit_json(
-                {
-                    "nbest": [
-                        {"labels": list(h.labels), "log_prob": h.log_prob} for h in nbest
-                    ]
-                }
-            )
+            _emit_json({"labels": result.labels, "log_prob": result.log_prob})
         else:
-            for rank, h in enumerate(nbest):
-                print(f"{rank}\t{h.log_prob:.6f}\t{' '.join(map(str, h.labels))}")
-        return EXIT_OK
-    result = greedy_decode(frames, weights, dec_cfg)
-    if args.json:
-        _emit_json({"labels": result.labels, "log_prob": result.log_prob})
+            print(("labels: " + " ".join(map(str, result.labels))).rstrip())
+            print(f"log_prob: {result.log_prob:.6f}")
+    elif args.json:
+        _emit_json({"nbest": [{"labels": list(h.labels), "log_prob": h.log_prob} for h in nbest]})
     else:
-        print(("labels: " + " ".join(map(str, result.labels))).rstrip())
-        print(f"log_prob: {result.log_prob:.6f}")
+        for rank, h in enumerate(nbest):
+            print(f"{rank}\t{h.log_prob:.6f}\t{' '.join(map(str, h.labels))}")
     return EXIT_OK
 
 
 def cmd_convert_lookup(args) -> int:
     weights, dec_cfg = load(args.model)
     table = convert_to_lookup(weights, dec_cfg, max_entries=args.budget)
-    save_lookup(table, dec_cfg, args.out)
+    save_lookup(table, args.out)
     print(f"lookup: {args.out}")
     print(f"entries: {table.table.shape[0]} x {table.table.shape[1]}")
     return EXIT_OK

@@ -5,6 +5,9 @@ emit up to ``max_symbols_per_frame`` non-blank labels before a blank advances
 time.  Since the prediction network only sees the last ``history_len``
 labels, each decode caches its outputs in a dict from history window to
 prediction row (the dynamic form of the lookup-table conversion below).
+A window is the tuple of the last N labels, oldest first and padded with
+the pad id; the network takes windows reversed, as the rows of a
+recent-first id matrix.
 
 Within one frame the joint output also depends only on the history window,
 so beam search scores each (frame, window) pair once.  It expands its
@@ -29,7 +32,7 @@ import numpy as np
 from .config import DecoderConfig
 from .errors import CapacityError, ConfigError, ShapeError
 from .mathops import log_softmax, logaddexp
-from .nets import PredictionState, joint_forward, prediction_forward
+from .nets import joint_forward, prediction_forward
 from .weights import ModelWeights, check_config
 
 # windows per prediction call in ``convert_to_lookup``: a reduced batch holds
@@ -39,16 +42,10 @@ _LOOKUP_CHUNK = 1024
 
 @dataclass
 class Hypothesis:
-    """One beam-search hypothesis: emitted labels and their merged log-prob.
-
-    ``state`` is the history window after the labels; ``pn_out`` caches the
-    prediction-network output for that window.
-    """
+    """One beam-search hypothesis: emitted labels and their merged log-prob."""
 
     labels: tuple[int, ...]
     log_prob: float
-    state: PredictionState | None = None
-    pn_out: np.ndarray | None = None
 
     def sort_key(self):
         return (-self.log_prob, self.labels)
@@ -90,8 +87,8 @@ def greedy_decode(
     """
     config = _check_frames(enc_frames, weights, config)
     pn: dict[tuple[int, ...], np.ndarray] = {}  # window -> prediction row
-    state = PredictionState.initial(config)
-    g = prediction_forward(state, weights, config)
+    window = (config.pad_id,) * config.history_len  # oldest label first
+    g = prediction_forward(np.array([window]), weights, config)[0]
     labels: list[int] = []
     log_prob = 0.0
     blank = config.blank_id
@@ -105,10 +102,10 @@ def greedy_decode(
             if k == blank:
                 break
             labels.append(k)
-            state = state.push(k)
-            g = pn.get(state.ids)
+            window = window[1:] + (k,)
+            g = pn.get(window)
             if g is None:
-                g = pn[state.ids] = prediction_forward(state, weights, config)
+                g = pn[window] = prediction_forward(np.array([window[::-1]]), weights, config)[0]
             emitted += 1
             if emitted >= config.max_symbols_per_frame:
                 break
@@ -138,8 +135,7 @@ def beam_decode(
     threshold and sorting only those.  Distinct frontier sequences have
     distinct extensions, so a round's candidates never merge.
 
-    Returns the n-best list sorted by descending log-prob; each entry's
-    ``pn_out`` is its own array.
+    Returns the n-best list sorted by descending log-prob.
     """
     config = _check_frames(enc_frames, weights, config)
     if beam_width < 1:
@@ -173,9 +169,7 @@ def beam_decode(
                 frontier = _best_extensions(frontier, lps[:, None] + logp[:, :blank], beam_width)
         beams = _top_b(next_beams, beam_width)
 
-    pn_out = _rows(pn, [(pad + labels)[-n:] for labels in beams], predict)
-    nbest = [Hypothesis(labels, float(lp), PredictionState.from_labels(labels, config), g.copy())
-             for (labels, lp), g in zip(beams.items(), pn_out)]
+    nbest = [Hypothesis(labels, float(lp)) for labels, lp in beams.items()]
     nbest.sort(key=Hypothesis.sort_key)
     return nbest
 
@@ -210,28 +204,25 @@ def _best_extensions(frontier, scores: np.ndarray, beam_width: int):
 
 @dataclass
 class LookupTable:
-    """Precomputed prediction outputs for every length-N history window.
+    """Precomputed prediction outputs for every length-N history window of
+    the model whose config is ``config``.
 
     ``table[idx]`` is the output for the window whose most-recent-first ids
     form the base-(V+1) digits of ``idx`` (pad id included).
     """
 
-    context_arity: int
-    vocab_ext: int
+    config: DecoderConfig
     table: np.ndarray  # ((V+1)^N, pn_out)
 
     def index_of(self, ids_recent_first) -> int:
         idx = 0
         for i in ids_recent_first:
-            idx = idx * self.vocab_ext + i
+            idx = idx * self.config.vocab_ext + i
         return idx
-
-    def lookup(self, state: PredictionState) -> np.ndarray:
-        return self.table[self.index_of(state.recent_first())]
 
     def contexts(self):
         """All windows in table order, as recent-first tuples."""
-        return itertools.product(range(self.vocab_ext), repeat=self.context_arity)
+        return itertools.product(range(self.config.vocab_ext), repeat=self.config.history_len)
 
 
 def convert_to_lookup(
@@ -258,4 +249,4 @@ def convert_to_lookup(
     for lo in range(0, entries, _LOOKUP_CHUNK):
         chunk = slice(lo, lo + _LOOKUP_CHUNK)
         table[chunk] = prediction_forward(ids[chunk], weights, config)
-    return LookupTable(n, config.vocab_ext, table)
+    return LookupTable(config, table)

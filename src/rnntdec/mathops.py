@@ -14,15 +14,6 @@ from .errors import ShapeError
 LN_EPS = 1e-6
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product; raises ShapeError on inner-dimension mismatch."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function, elementwise.
 

@@ -273,9 +273,11 @@ def load(path: str) -> tuple[ModelWeights, DecoderConfig]:
     return weights, config
 
 
-def save_lookup(table: LookupTable, config: DecoderConfig, path: str) -> None:
-    """Store a precomputed prediction-network table in the same container."""
-    _write_archive(path, _manifest("lookup", config, None), [("table", table.table, table.table.shape)])
+def save_lookup(table: LookupTable, path: str) -> None:
+    """Store a precomputed prediction-network table, with the config of the
+    model it was computed from, in the same container."""
+    manifest = _manifest("lookup", table.config, None)
+    _write_archive(path, manifest, [("table", table.table, table.table.shape)])
 
 
 def load_lookup(path: str) -> tuple[LookupTable, DecoderConfig]:
@@ -283,4 +285,4 @@ def load_lookup(path: str) -> tuple[LookupTable, DecoderConfig]:
     rows = config.vocab_ext**config.history_len
     table = _read_tensor(archive, path, "table", (rows, config.pn_out_dim))
     _check_layout(path, archive)
-    return LookupTable(config.history_len, config.vocab_ext, table), config
+    return LookupTable(config, table), config

@@ -3,11 +3,12 @@
 The prediction network is a pure function of the last ``history_len``
 non-blank labels, so its output can be cached per history window or
 precomputed into a lookup table, and many windows can run as one batch.
-``prediction_forward`` takes one window (a ``PredictionState``) or an
-(n, N) matrix of them and runs both through the same batched body; every
-row of a batch equals the single-window output bit for bit, because
-batches use stacked vector-matrix products (never one matrix product,
-which rounds differently) and row-wise LayerNorm and Swish.
+A window is a row of N label ids, most recent first, with the pad id
+standing in for labels before the start; ``prediction_forward`` takes an
+(n, N) matrix of them.  Every row of a batch equals the output of its
+window run alone, bit for bit, because batches use stacked vector-matrix
+products (never one matrix product, which rounds differently) and row-wise
+LayerNorm and Swish.
 """
 
 from __future__ import annotations
@@ -20,76 +21,20 @@ from .mathops import layer_norm, sigmoid, swish
 from .weights import LstmLayer, ModelWeights, check_config
 
 
-class PredictionState:
-    """Ring buffer of the last N non-blank labels, most recent last.
-
-    Immutable: ``push`` returns a new state.  Fresh states hold N copies of
-    the pad id, whose embedding row is zero.
-    """
-
-    __slots__ = ("ids", "pad_id")
-
-    def __init__(self, ids: tuple[int, ...], pad_id: int):
-        self.ids = ids
-        self.pad_id = pad_id
-
-    @classmethod
-    def initial(cls, config: DecoderConfig) -> "PredictionState":
-        return cls((config.pad_id,) * config.history_len, config.pad_id)
-
-    @classmethod
-    def from_labels(cls, labels, config: DecoderConfig) -> "PredictionState":
-        """State after emitting ``labels`` in order."""
-        n = config.history_len
-        tail = tuple(labels)[-n:]
-        ids = (config.pad_id,) * (n - len(tail)) + tail
-        return cls(ids, config.pad_id)
-
-    def push(self, label: int) -> "PredictionState":
-        if not 0 <= label < self.pad_id:
-            raise DomainError(f"cannot push label {label}; valid ids are [0, {self.pad_id})")
-        return PredictionState(self.ids[1:] + (label,), self.pad_id)
-
-    def recent_first(self) -> tuple[int, ...]:
-        """Ids ordered y_{u-1}, y_{u-2}, ... (embedding row order)."""
-        return self.ids[::-1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PredictionState) and self.ids == other.ids
-
-    def __hash__(self) -> int:
-        return hash(self.ids)
-
-    def __repr__(self) -> str:
-        return f"PredictionState({self.ids})"
-
-
-def _id_matrix(history) -> tuple[np.ndarray, bool]:
-    """(n, N) recent-first ids of ``history``, and whether it was one state."""
-    if isinstance(history, PredictionState):
-        return np.array([history.recent_first()]), True
-    ids = np.asarray(history)
+def embed(ids: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """(n, N, d_e) embeddings of an (n, N) recent-first integer id matrix.
+    Every id must index the embedding table."""
+    try:
+        ids = np.asarray(ids)
+    except ValueError as e:  # ragged rows
+        raise DomainError(f"history must be an (n, N) integer id matrix: {e}") from None
     if ids.ndim != 2 or ids.dtype.kind not in "iu":
-        raise DomainError(
-            f"history must be a state or an (n, N) integer id matrix, got {ids.dtype} {ids.shape}"
-        )
-    return ids, False
-
-
-def embed(history, weights: ModelWeights) -> np.ndarray:
-    """Embeddings of a history window, most recent label first.
-
-    ``history`` is one ``PredictionState``, giving (N, d_e), or an (n, N)
-    recent-first id matrix, giving (n, N, d_e).  Every id must index the
-    embedding table.
-    """
-    ids, single = _id_matrix(history)
+        raise DomainError(f"history must be an (n, N) integer id matrix, got {ids.dtype} {ids.shape}")
     n_rows = weights.emb.shape[0]
     outside = (ids < 0) | (ids >= n_rows)
     if np.count_nonzero(outside):
         raise DomainError(f"label id {ids[outside][0]} outside embedding table [0, {n_rows})")
-    E = weights.emb[ids]
-    return E[0] if single else E
+    return weights.emb[ids]
 
 
 def predict_multi_head(E: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -140,15 +85,13 @@ def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LstmLayer, cac
 
 
 def prediction_forward(
-    history, weights: ModelWeights, config: DecoderConfig, cache=None
+    ids: np.ndarray, weights: ModelWeights, config: DecoderConfig, cache=None
 ) -> np.ndarray:
-    """Prediction-network outputs for one history window or a batch of them.
-
-    ``history`` is a ``PredictionState``, giving g_u as (pn_out,), or an
-    (n, N) recent-first id matrix, giving (n, pn_out); a state runs as a
-    batch of one.  Reduced batches run as stacked vector-matrix products and
-    LayerNorm and Swish run row-wise, so every row equals the single-history
-    output bit for bit.  The LSTM runs its histories one after another.
+    """(n, pn_out) prediction-network outputs of an (n, N) recent-first id
+    matrix, one row per history window.  Reduced batches run as stacked
+    vector-matrix products and LayerNorm and Swish run row-wise, so every
+    row equals the output of its window run alone, bit for bit.  The LSTM
+    runs its histories one after another.
 
     ``cache``, when given, is a list that receives what the backward pass
     (``backprop.backprop_decoder``) needs from this call: for reduced, one
@@ -158,33 +101,31 @@ def prediction_forward(
     the two embedding variants, whose backward pass needs only the ids.
     """
     config = check_config(weights, config)
-    ids, single = _id_matrix(history)
+    E = embed(ids, weights)  # (n, N, d_e); checks the ids' type, rank and range
+    ids = np.asarray(ids)
     if ids.shape[1] != config.history_len:
         raise DomainError(f"history holds {ids.shape[1]} ids, config expects {config.history_len}")
-    E = embed(ids, weights)  # (n, N, d_e)
     if config.variant == REDUCED:
         avg = predict_multi_head(E, weights.positions)
         z = np.matmul(avg[:, None, :], weights.proj_w)[:, 0, :] + weights.proj_b
         y = layer_norm(z, weights.ln_gamma, weights.ln_beta)
         if cache is not None:
             cache.append((avg, z, y))
-        out = swish(y)
-    elif config.variant == STATELESS_1EMB:
-        out = E[:, 0]
-    elif config.variant == CONCAT_2EMB:
-        out = E.reshape(len(ids), -1)
-    else:
-        assert config.variant == LSTM
-        out = np.stack([_lstm_history(row, E[r], weights, config, cache)
-                        for r, row in enumerate(ids.tolist())])
-    return out[0] if single else out
+        return swish(y)
+    if config.variant == STATELESS_1EMB:
+        return E[:, 0]
+    if config.variant == CONCAT_2EMB:
+        return E.reshape(len(ids), -1)
+    assert config.variant == LSTM
+    return np.stack([_lstm_history(row, E[r], weights, config, cache)
+                     for r, row in enumerate(ids.tolist())])
 
 
 def _lstm_history(ids, E, weights: ModelWeights, config: DecoderConfig, cache):
     """Stacked-LSTM output for one history; ``E`` holds its embeddings.
 
     The LSTM runs over the non-pad labels, oldest first.  Pads are skipped,
-    so a fresh state yields the zero vector; the recurrent state always
+    so an all-pad window yields the zero vector; the recurrent state always
     starts from zero at the window boundary.  Histories run one at a time:
     one masked (n, ·) cell per step gives the same forward rows bit for bit,
     but its backward pass sums each weight gradient over the rows in one

@@ -10,7 +10,7 @@ from rnntdec import DecoderConfig, SeededRng
 from rnntdec.backprop import backprop_decoder, forward_grid
 from rnntdec.lattice import transducer_loss
 from rnntdec.mathops import LN_EPS, log_softmax, logaddexp
-from rnntdec.nets import PredictionState, joint_forward, prediction_forward
+from rnntdec.nets import joint_forward, prediction_forward
 from rnntdec.toy import Utterance, encode_backward
 from rnntdec.train import utterance_loss_grads
 from rnntdec.weights import init_encoder_stub, init_weights, trainable_tensors
@@ -36,24 +36,15 @@ def tiny_model(config: DecoderConfig, seed=0, d_feat=None):
     return w
 
 
+def window_of(labels, config) -> tuple[int, ...]:
+    """The history window after ``labels``: their last N, oldest first,
+    padded with the pad id."""
+    return ((config.pad_id,) * config.history_len + tuple(labels))[-config.history_len:]
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
-
-
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop matrix product."""
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    assert inner == inner2
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def masked_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -177,10 +168,10 @@ def naive_beam_decode(frames, weights, config, beam_width) -> list[tuple[tuple[i
     pn_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def g_of(labels):
-        state = PredictionState.from_labels(labels, config)
-        if state.ids not in pn_cache:
-            pn_cache[state.ids] = prediction_forward(state, weights, config)
-        return pn_cache[state.ids]
+        window = window_of(labels, config)
+        if window not in pn_cache:
+            pn_cache[window] = prediction_forward(np.array([window[::-1]]), weights, config)[0]
+        return pn_cache[window]
 
     def top_b(d):
         if len(d) <= beam_width:
@@ -221,10 +212,10 @@ def enumerate_decode_paths(frames, weights, config) -> dict[tuple[int, ...], flo
     seqs: dict[tuple[int, ...], float] = {}
 
     def g_of(labels):
-        state = PredictionState.from_labels(labels, config)
-        if state.ids not in pn_cache:
-            pn_cache[state.ids] = prediction_forward(state, weights, config)
-        return pn_cache[state.ids]
+        window = window_of(labels, config)
+        if window not in pn_cache:
+            pn_cache[window] = prediction_forward(np.array([window[::-1]]), weights, config)[0]
+        return pn_cache[window]
 
     def rec(t, labels, emitted, lp):
         if t == frames.shape[0]:

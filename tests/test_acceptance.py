@@ -35,7 +35,7 @@ from rnntdec.decoding import Hypothesis, beam_decode
 from rnntdec.embr import NBestList, utterance_risk, utterance_risk_grads
 from rnntdec.mathops import log_softmax
 from rnntdec.model_io import read_archive
-from rnntdec.nets import PredictionState, prediction_forward
+from rnntdec.nets import prediction_forward
 from rnntdec.toy import Utterance, make_toy_dataset
 from rnntdec.train import EmbrParams, Hyperparams, dev_risk, embr_phase, train
 from rnntdec.weights import clone_weights, init_encoder_stub, trainable_tensors
@@ -164,9 +164,8 @@ def test_criterion_05_lookup_equivalence():
             table = convert_to_lookup(w, cfg)
             assert table.table.shape[0] == (vocab + 1) ** 2
             for ctx in table.contexts():
-                state = PredictionState(ctx[::-1], cfg.pad_id)
                 np.testing.assert_array_equal(
-                    table.lookup(state), prediction_forward(state, w, cfg)
+                    table.table[table.index_of(ctx)], prediction_forward(np.array([ctx]), w, cfg)[0]
                 )
 
 

@@ -2,8 +2,9 @@
 
 ``prediction_forward`` over an (n, N) id matrix must give, row for row, the
 bits a single-history call gave before batching existed: the digests below
-were recorded from one-state-at-a-time calls of the unbatched forward, on
-the same models and histories.
+were recorded from one-history-at-a-time calls of the unbatched forward, on
+the same models and histories, and every row must still equal its history
+run alone as a one-row matrix.
 """
 
 import hashlib
@@ -13,13 +14,13 @@ import pytest
 
 import rnntdec.backprop
 import rnntdec.decoding
-from rnntdec import PredictionState, SeededRng, beam_decode, prediction_forward
+from rnntdec import SeededRng, beam_decode, prediction_forward
 from rnntdec.backprop import forward_grid
 from rnntdec.errors import DomainError
 from rnntdec.weights import get_tensor, init_weights, specs_of
 
 import helpers
-from helpers import naive_beam_decode, tiny_config
+from helpers import naive_beam_decode, tiny_config, window_of
 
 ROW_CONFIGS = {
     "reduced": lambda: tiny_config("reduced", tied=True),
@@ -49,8 +50,9 @@ SINGLE_HISTORY_DIGESTS = {
 
 def row_cases(key, dtype):
     """A model with every stored tensor drawn at random (pad row zero) and
-    its histories: the fresh all-pad state first, then random label
-    sequences of every length up to N + 2, so some rows are part padding."""
+    the recent-first id matrix of its histories: the all-pad window first,
+    then the windows after random label sequences of every length up to
+    N + 2, so some rows are part padding."""
     cfg = ROW_CONFIGS[key]()
     w = init_weights(cfg, seed=0, dtype=dtype)
     rng = np.random.default_rng(sorted(ROW_CONFIGS).index(key))
@@ -59,29 +61,24 @@ def row_cases(key, dtype):
             t = get_tensor(w, spec.name)
             t[...] = rng.normal(size=t.shape) * 0.7
     w.emb[cfg.pad_id] = 0.0
-    states = [PredictionState.initial(cfg)]
+    windows = [window_of((), cfg)]
     for k in range(14):
         labels = rng.integers(0, cfg.vocab_size, size=k % (cfg.history_len + 3))
-        states.append(PredictionState.from_labels(labels.tolist(), cfg))
-    return w, cfg, states
+        windows.append(window_of(labels.tolist(), cfg))
+    return w, cfg, np.array(windows)[:, ::-1]
 
 
 def single_history_rows(key, dtype):
-    w, cfg, states = row_cases(key, dtype)
-    return np.stack([prediction_forward(s, w, cfg) for s in states])
-
-
-def recent_first_ids(states):
-    return np.array([s.recent_first() for s in states])
+    w, cfg, ids = row_cases(key, dtype)
+    return np.stack([prediction_forward(ids[i:i + 1], w, cfg)[0] for i in range(len(ids))])
 
 
 @pytest.mark.parametrize("dtype", ["f8", "f4"])
 @pytest.mark.parametrize("key", sorted(ROW_CONFIGS))
 def test_batch_rows_equal_recorded_single_history_outputs(key, dtype):
-    w, cfg, states = row_cases(key, np.dtype(dtype))
-    ids = recent_first_ids(states)
+    w, cfg, ids = row_cases(key, np.dtype(dtype))
     batch = prediction_forward(ids, w, cfg)
-    assert batch.shape == (len(states), cfg.pn_out_dim) and batch.dtype == w.dtype
+    assert batch.shape == (len(ids), cfg.pn_out_dim) and batch.dtype == w.dtype
     single = single_history_rows(key, np.dtype(dtype))
     for row, expected in zip(batch, single):
         np.testing.assert_array_equal(row, expected)
@@ -93,21 +90,22 @@ def test_batch_rows_equal_recorded_single_history_outputs(key, dtype):
 
 @pytest.mark.parametrize("key", sorted(ROW_CONFIGS))
 def test_out_of_table_id_is_domain_error(key):
-    w, cfg, states = row_cases(key, np.dtype("f8"))
+    w, cfg, good = row_cases(key, np.dtype("f8"))
     for bad in (cfg.vocab_ext, -1):
-        ids = recent_first_ids(states)
+        ids = good.copy()
         ids[3, -1] = bad
         with pytest.raises(DomainError):
             prediction_forward(ids, w, cfg)
         with pytest.raises(DomainError):
-            prediction_forward(PredictionState(tuple(ids[3, ::-1].tolist()), cfg.pad_id), w, cfg)
+            prediction_forward(ids[3:4], w, cfg)
 
 
 @pytest.mark.parametrize("key", sorted(ROW_CONFIGS))
 def test_malformed_history_is_domain_error(key):
-    w, cfg, states = row_cases(key, np.dtype("f8"))
-    ids = recent_first_ids(states)
-    for bad in (ids[:, 1:], ids[0], ids.astype(np.float64), np.concatenate([ids, ids], axis=1)):
+    w, cfg, ids = row_cases(key, np.dtype("f8"))
+    ragged = [ids[0].tolist(), ids[1, 1:].tolist()]
+    for bad in (ids[:, 1:], ids[0], ids.astype(np.float64), np.concatenate([ids, ids], axis=1),
+                ragged):
         with pytest.raises(DomainError):
             prediction_forward(bad, w, cfg)
 
@@ -166,11 +164,7 @@ class ScoredPairs:
 
         def prediction(history, *args, **kwargs):
             out = pf(history, *args, **kwargs)
-            if isinstance(history, PredictionState):
-                windows, rows = [history.recent_first()], out[None]
-            else:
-                windows, rows = [tuple(r) for r in history.tolist()], out
-            for window, row in zip(windows, rows):
+            for window, row in zip(map(tuple, history.tolist()), out):
                 assert self.window_of.setdefault(row.tobytes(), window) == window
             return out
 
@@ -197,7 +191,7 @@ def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
     log = CallLog(monkeypatch, (rnntdec.decoding, "prediction_forward"),
                   (rnntdec.decoding, "joint_forward"), (rnntdec.decoding, "_best_extensions"),
                   (rnntdec.decoding, "_top_b"))
-    nbest = beam_decode(frames, w, cfg, 3)
+    beam_decode(frames, w, cfg, 3)
     ends = [i for i, name in enumerate(log.events) if name in ("_best_extensions", "_top_b")]
     rounds_per_frame = cfg.max_symbols_per_frame + 1
     assert len(ends) == len(frames) * rounds_per_frame
@@ -216,5 +210,3 @@ def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
     assert len(scored.pairs) == len(set(scored.pairs))
     assert set(scored.pairs) == set(naive.pairs)
     assert len(scored.pairs) < len(naive.pairs)
-    for h in nbest:
-        np.testing.assert_array_equal(h.pn_out, prediction_forward(h.state, w, cfg))

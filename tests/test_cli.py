@@ -1,10 +1,11 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from rnntdec import greedy_decode, init_weights, load, read_archive, save, toy_encode
+from rnntdec import greedy_decode, init_weights, load, load_lookup, read_archive, save, toy_encode
 from rnntdec.cli import _load_input_frames, main
 from rnntdec.weights import init_encoder_stub
 
@@ -197,6 +198,14 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "entries: 16 x 8" in out  # (3+1)^2 contexts, d_e columns
 
+    def test_lookup_carries_the_model_config(self, tmp_path, capsys):
+        cfg = tiny_config(vocab_size=4, history_len=2, tied=True)
+        model, table = str(tmp_path / "m.rnnt"), str(tmp_path / "m.lookup")
+        save(init_weights(cfg, seed=2), cfg, model)
+        assert main(["convert-lookup", model, table]) == 0
+        loaded, loaded_cfg = load_lookup(table)
+        assert loaded.config == cfg and loaded_cfg == cfg
+
     def test_embr_keeps_extra_manifest_fields(self, tmp_path, capsys):
         dec = tiny_config(vocab_size=3, d_e=8, d_h=8, d_enc=8)
         w = init_weights(dec, seed=0)
@@ -343,6 +352,28 @@ class TestDecodeInputValidation:
         model = self.model(tmp_path, np.float32)
         inp = write(tmp_path, "in.json", {"frames": [[1e300, 0.0, 0.0, 0.0]]})
         self.assert_schema_exit(["decode", model, inp], inp, "frames", capsys)
+
+    # finite inputs whose products overflow the model's dtype: frames that
+    # alternate sign near the dtype's limit, and features signed like the
+    # stub's first column (-, -, +), so that they overflow the stub's product
+    OVERFLOWS = {
+        "f8_frames": (np.float64, {"frames": [[1.7e308, -1.7e308, 1.7e308, -1.7e308]] * 3}),
+        "f4_frames": (np.float32, {"frames": [[3e38, -3e38, 3e38, -3e38]] * 3}),
+        "f8_features": (np.float64, {"features": [[-1.7e308, -1.7e308, 1.7e308]] * 3}),
+    }
+
+    @pytest.mark.parametrize("beam", [[], ["--beam", "2"]])
+    @pytest.mark.parametrize("case", sorted(OVERFLOWS))
+    def test_input_that_overflows_exits_schema(self, tmp_path, capsys, case, beam):
+        dtype, doc = self.OVERFLOWS[case]
+        model = self.model(tmp_path, dtype)
+        inp = write(tmp_path, "in.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["decode", model, inp, *beam]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert_one_schema_line(err, inp)
 
     @pytest.mark.parametrize("beam", [[], ["--beam", "2"]])
     def test_empty_utterance_decodes(self, tmp_path, capsys, beam):

@@ -14,7 +14,7 @@ from rnntdec.bench import step_timer
 from rnntdec.decoding import LookupTable
 from rnntdec.errors import CapacityError, ConfigError, ShapeError
 from rnntdec.mathops import log_softmax
-from rnntdec.nets import PredictionState, joint_forward
+from rnntdec.nets import joint_forward
 
 from helpers import (
     all_blank_model,
@@ -52,7 +52,7 @@ class TestGreedy:
         res = greedy_decode(frames, w, cfg)
         assert res.labels == []
         # four blank steps on the fresh history, summed in frame order
-        g = prediction_forward(PredictionState.initial(cfg), w, cfg)
+        g = prediction_forward(np.array([[cfg.pad_id] * cfg.history_len]), w, cfg)[0]
         expected = 0.0
         for f_t in frames:
             expected += float(log_softmax(joint_forward(f_t, g, w, cfg))[cfg.blank_id])
@@ -79,9 +79,10 @@ class TestGreedy:
         res = greedy_decode(frames, w, cfg)
         assert res.labels == [0]
         # hand-accumulated log-prob over the three argmax steps
-        g0 = prediction_forward(PredictionState.initial(cfg), w, cfg)
+        pads = [cfg.pad_id] * (cfg.history_len - 1)
+        g0 = prediction_forward(np.array([[cfg.pad_id] + pads]), w, cfg)[0]
         lp = log_softmax(joint_forward(frames[0], g0, w, cfg))[0]
-        g1 = prediction_forward(PredictionState.initial(cfg).push(0), w, cfg)
+        g1 = prediction_forward(np.array([[0] + pads]), w, cfg)[0]  # label 0 most recent
         lp += log_softmax(joint_forward(frames[0], g1, w, cfg))[cfg.blank_id]
         lp += log_softmax(joint_forward(frames[1], g1, w, cfg))[cfg.blank_id]
         np.testing.assert_allclose(res.log_prob, lp, atol=1e-12)
@@ -114,8 +115,7 @@ class TestBeam:
         nbest = beam_decode(frames, w, cfg, 1)
         assert nbest[0].labels == ()
         expected = 0.0
-        state = PredictionState.initial(cfg)
-        g = prediction_forward(state, w, cfg)
+        g = prediction_forward(np.array([[cfg.pad_id] * cfg.history_len]), w, cfg)[0]
         for t in range(3):
             expected += log_softmax(joint_forward(frames[t], g, w, cfg))[cfg.blank_id]
         np.testing.assert_allclose(nbest[0].log_prob, expected, atol=1e-12)
@@ -276,7 +276,6 @@ class TestFrameMemo:
             for width in (1, 3, 6):
                 nbest = beam_decode(frames, w, cfg, width)
                 assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width)
-                assert all(h.pn_out.dtype == np.float32 for h in nbest)
 
     def test_high_symbol_cap_small_vocabulary(self, monkeypatch):
         # with V = 2-3 and N <= 2 a frame meets few windows in many rounds
@@ -311,27 +310,6 @@ class TestFrameMemo:
             for width in (1, 2, 5):
                 nbest = beam_decode(frames, w, cfg, width)
                 assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width)
-                for h in nbest:
-                    np.testing.assert_array_equal(h.pn_out, prediction_forward(h.state, w, cfg))
-
-    def test_pn_out_arrays_are_independent(self):
-        # N = 1 and V = 3 give four windows, so two of the five entries share one
-        cfg = tiny_config(vocab_size=3, history_len=1, max_symbols_per_frame=4)
-        w = init_weights(cfg, seed=3)
-        frames = SeededRng(8).normal((6, cfg.d_enc), std=2.0)
-        first = beam_decode(frames, w, cfg, 5)
-        assert len(first) == 5 and len({h.state for h in first}) < 5
-        kept = [h.pn_out.copy() for h in first]
-        second = beam_decode(frames, w, cfg, 5)
-        arrays = [h.pn_out for h in first + second]
-        assert all(a.flags.owndata for a in arrays)
-        for i, a in enumerate(arrays):
-            for b in arrays[i + 1:]:
-                assert not np.shares_memory(a, b)
-        for h, before in zip(first, kept):
-            np.testing.assert_array_equal(h.pn_out, before)
-            np.testing.assert_array_equal(h.pn_out, prediction_forward(h.state, w, cfg))
-        assert [h.pn_out.tobytes() for h in second] == [b.tobytes() for b in kept]
 
 
 class TestLookup:
@@ -347,9 +325,8 @@ class TestLookup:
             w = init_weights(cfg, seed=1)
             table = convert_to_lookup(w, cfg)
             for ctx in table.contexts():
-                state = PredictionState(ctx[::-1], cfg.pad_id)
-                direct = prediction_forward(state, w, cfg)
-                np.testing.assert_array_equal(table.lookup(state), direct)
+                direct = prediction_forward(np.array([ctx]), w, cfg)[0]
+                np.testing.assert_array_equal(table.table[table.index_of(ctx)], direct)
 
     def test_capacity_error_for_large_vocab(self):
         cfg = tiny_config(vocab_size=4096, d_e=4, d_h=4, history_len=2, num_heads=1)
@@ -358,7 +335,7 @@ class TestLookup:
             convert_to_lookup(w, cfg, max_entries=1_000_000)
 
     def test_index_round_trip(self):
-        table = LookupTable(3, 6, np.zeros((216, 2)))
+        table = LookupTable(tiny_config(vocab_size=5, history_len=3), np.zeros((216, 2)))
         seen = set()
         for ctx in table.contexts():
             seen.add(table.index_of(ctx))

@@ -121,19 +121,19 @@ def test_missing_cache_is_state_error():
 
 
 def test_grid_forward_matches_stepwise_joint():
-    from rnntdec.nets import PredictionState, joint_forward, prediction_forward
+    from rnntdec.nets import joint_forward, prediction_forward
 
     cfg = tiny_config("lstm")
     w = init_weights(cfg, seed=4)
     frames = SeededRng(5).normal((3, cfg.d_enc))
     target = [0, 2]
     logits, _ = forward_grid(frames, target, w, cfg)
-    state = PredictionState.initial(cfg)
+    window = (cfg.pad_id,) * cfg.history_len  # oldest label first
     for u in range(len(target) + 1):
-        g = prediction_forward(state, w, cfg)
+        g = prediction_forward(np.array([window[::-1]]), w, cfg)[0]
         for t in range(3):
             np.testing.assert_allclose(
                 logits[t, u], joint_forward(frames[t], g, w, cfg), atol=1e-12
             )
         if u < len(target):
-            state = state.push(target[u])
+            window = window[1:] + (target[u],)

@@ -103,8 +103,7 @@ def test_mutated_decode_input_decodes_or_exits_schema(files, data, f4, beam):
     with open(inp, "wb") as fh:
         fh.write(data)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            np.errstate(over="ignore", invalid="ignore"):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["decode", models[f4], inp, "--json", *beam])
     assert code in (0, 2)
     if code == 2:

@@ -4,39 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnntdec import SeededRng, layer_norm, log_softmax, matmul, sigmoid, swish
+from rnntdec import layer_norm, log_softmax, sigmoid, swish
 from rnntdec.errors import ShapeError
 
-from helpers import fresh_log_softmax, masked_sigmoid, naive_matmul, vector_layer_norm
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_projector(self):
-        p = np.array([[1.0, 0.0], [0.0, 0.0]])
-        v = np.array([[5.0], [7.0]])
-        np.testing.assert_array_equal(matmul(p, v), [[5.0], [0.0]])
-
-    def test_matches_naive_triple_loop(self):
-        rng = SeededRng(7)
-        a = rng.normal((3, 4))
-        b = rng.normal((4, 2))
-        np.testing.assert_allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_associativity(self):
-        rng = SeededRng(11)
-        for _ in range(10):
-            a, b, c = rng.normal((3, 4)), rng.normal((4, 5)), rng.normal((5, 2))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            np.testing.assert_allclose(left, right, atol=1e-9)
+from helpers import fresh_log_softmax, masked_sigmoid, vector_layer_norm
 
 
 class TestLayerNorm:

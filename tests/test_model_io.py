@@ -244,7 +244,7 @@ def test_failed_save_keeps_the_old_archive(kind, tmp_path, monkeypatch):
         if kind == "model":
             save(w, cfg, path)
         else:
-            save_lookup(convert_to_lookup(w, cfg), cfg, path)
+            save_lookup(convert_to_lookup(w, cfg), path)
 
     write()
     before = open(path, "rb").read()
@@ -315,9 +315,9 @@ def test_lookup_archive_round_trip(tmp_path):
     w = init_weights(cfg, seed=4)
     table = convert_to_lookup(w, cfg)
     path = str(tmp_path / "table")
-    save_lookup(table, cfg, path)
+    save_lookup(table, path)
     loaded, loaded_cfg = load_lookup(path)
-    assert loaded_cfg == cfg
+    assert loaded_cfg == cfg and loaded.config == cfg
     np.testing.assert_array_equal(loaded.table, table.table)
     with pytest.raises(UnsupportedFormatError):
         load(path)  # model loader refuses a lookup archive

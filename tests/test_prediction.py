@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnntdec import (
-    PredictionState,
     SeededRng,
     embed,
     predict_multi_head,
@@ -15,63 +14,42 @@ from rnntdec.backprop import forward_grid
 from rnntdec.errors import ConfigError, DomainError, ShapeError
 from rnntdec.mathops import layer_norm, swish
 
-from helpers import tiny_config, tiny_model
+from helpers import tiny_config, tiny_model, window_of
 
 
-class TestPredictionState:
-    def test_initial_is_all_pad(self):
-        cfg = tiny_config(history_len=3)
-        st_ = PredictionState.initial(cfg)
-        assert st_.ids == (cfg.pad_id,) * 3
-
-    def test_push_keeps_last_n(self):
-        cfg = tiny_config(history_len=2)
-        st_ = PredictionState.initial(cfg).push(0).push(1).push(2)
-        assert st_.recent_first() == (2, 1)
-
-    def test_push_rejects_blank_and_out_of_range(self):
-        cfg = tiny_config()
-        st_ = PredictionState.initial(cfg)
-        with pytest.raises(DomainError):
-            st_.push(cfg.blank_id)
-        with pytest.raises(DomainError):
-            st_.push(-1)
-
-    def test_from_labels_pads_short_history(self):
-        cfg = tiny_config(history_len=3)
-        st_ = PredictionState.from_labels([2], cfg)
-        assert st_.ids == (cfg.pad_id, cfg.pad_id, 2)
+def window(cfg, labels):
+    """One-row recent-first id matrix of the window after ``labels``."""
+    return np.array([window_of(labels, cfg)[::-1]])
 
 
 class TestEmbed:
     def test_fresh_state_embeds_to_zero(self):
         cfg = tiny_config(history_len=3)
         w = tiny_model(cfg)
-        out = embed(PredictionState.initial(cfg), w)
-        assert out.shape == (3, cfg.d_e)
+        out = embed(window(cfg, []), w)
+        assert out.shape == (1, 3, cfg.d_e)
         assert not out.any()
 
     def test_single_label_gather(self):
         cfg = tiny_config("stateless1emb")
         w = tiny_model(cfg)
         w.emb[2] = np.arange(cfg.d_e)
-        out = embed(PredictionState.from_labels([2], cfg), w)
-        np.testing.assert_array_equal(out[0], np.arange(cfg.d_e))
+        out = embed(window(cfg, [2]), w)
+        np.testing.assert_array_equal(out[0, 0], np.arange(cfg.d_e))
 
     def test_two_labels_recent_first(self):
         cfg = tiny_config(history_len=2)
         w = tiny_model(cfg)
-        state = PredictionState.from_labels([1, 0], cfg)  # 0 is most recent
-        out = embed(state, w)
+        out = embed(window(cfg, [1, 0]), w)[0]  # 0 is most recent
         np.testing.assert_array_equal(out[0], w.emb[0])
         np.testing.assert_array_equal(out[1], w.emb[1])
 
     def test_out_of_range_id(self):
         cfg = tiny_config()
         w = tiny_model(cfg)
-        bad = PredictionState((0, 99), cfg.pad_id)
-        with pytest.raises(DomainError):
-            embed(bad, w)
+        for bad in (99, -1, cfg.vocab_ext):
+            with pytest.raises(DomainError):
+                embed(np.array([[bad, 0]]), w)
 
 
 class TestSingleHead:
@@ -158,7 +136,7 @@ class TestPredictionForward:
         cfg = tiny_config()
         w = tiny_model(cfg, seed=9)
         w.proj_b[:] = SeededRng(10).normal(cfg.d_e)
-        out = prediction_forward(PredictionState.initial(cfg), w, cfg)
+        out = prediction_forward(window(cfg, []), w, cfg)[0]
         expected = swish(layer_norm(w.proj_b, w.ln_gamma, w.ln_beta))
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
@@ -166,20 +144,18 @@ class TestPredictionForward:
         for n, h in [(1, 1), (3, 2), (6, 4)]:
             cfg = tiny_config(history_len=n, num_heads=h)
             w = tiny_model(cfg)
-            state = PredictionState.from_labels([0, 1, 2], cfg)
-            assert prediction_forward(state, w, cfg).shape == (cfg.d_e,)
+            assert prediction_forward(window(cfg, [0, 1, 2]), w, cfg).shape == (1, cfg.d_e)
 
     def test_stateless_is_pure_lookup(self):
         cfg = tiny_config("stateless1emb")
         w = tiny_model(cfg)
-        out = prediction_forward(PredictionState.from_labels([3], cfg), w, cfg)
+        out = prediction_forward(window(cfg, [3]), w, cfg)[0]
         np.testing.assert_array_equal(out, w.emb[3])
 
     def test_concat_orders_recent_first(self):
         cfg = tiny_config("concat2emb")
         w = tiny_model(cfg)
-        state = PredictionState.from_labels([1, 0], cfg)
-        out = prediction_forward(state, w, cfg)
+        out = prediction_forward(window(cfg, [1, 0]), w, cfg)[0]
         assert out.shape == (2 * cfg.d_e,)
         np.testing.assert_array_equal(out[: cfg.d_e], w.emb[0])
         np.testing.assert_array_equal(out[cfg.d_e :], w.emb[1])
@@ -187,21 +163,20 @@ class TestPredictionForward:
     def test_lstm_fresh_state_is_zero(self):
         cfg = tiny_config("lstm")
         w = tiny_model(cfg)
-        out = prediction_forward(PredictionState.initial(cfg), w, cfg)
+        out = prediction_forward(window(cfg, []), w, cfg)[0]
         np.testing.assert_array_equal(out, np.zeros(cfg.lstm_proj))
 
     def test_lstm_output_dim(self):
         cfg = tiny_config("lstm")
         w = tiny_model(cfg)
-        state = PredictionState.from_labels([1, 2], cfg)
-        assert prediction_forward(state, w, cfg).shape == (cfg.lstm_proj,)
+        assert prediction_forward(window(cfg, [1, 2]), w, cfg).shape == (1, cfg.lstm_proj)
 
     def test_variant_mismatch_is_config_error(self):
         cfg = tiny_config()
         w = tiny_model(cfg)
         other = tiny_config("stateless1emb")
         with pytest.raises(ConfigError):
-            prediction_forward(PredictionState.initial(other), w, other)
+            prediction_forward(window(other, []), w, other)
 
     @pytest.mark.parametrize("variant", ["reduced", "stateless1emb", "concat2emb", "lstm"])
     def test_training_grid_uses_the_decoder_forward(self, variant):
@@ -213,5 +188,5 @@ class TestPredictionForward:
         _, cache = forward_grid(frames, target, w, cfg)
         assert cache.g_stack.shape == (len(target) + 1, cfg.pn_out_dim)
         for u in range(len(target) + 1):
-            state = PredictionState.from_labels(target[:u], cfg)
-            np.testing.assert_array_equal(cache.g_stack[u], prediction_forward(state, w, cfg))
+            np.testing.assert_array_equal(
+                cache.g_stack[u], prediction_forward(window(cfg, target[:u]), w, cfg)[0])
