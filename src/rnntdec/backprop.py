@@ -6,7 +6,7 @@ decoder's own ``nets.prediction_forward``, asking it to keep the
 activations the backward pass needs; every row of a batch equals the
 single-history output, so training scores exactly the prediction outputs
 decoding produces.  ``backprop_decoder`` then runs the backward pass over
-all U+1 histories at once (one LSTM history at a time).  Gradients are
+all U+1 histories at once, the LSTM's in lockstep.  Gradients are
 returned as a flat name -> array dict keyed by the tensor table
 (``weights.tensor_specs``); tied models accumulate the output-layer
 gradient into the embedding gradient, and the pad embedding row's gradient
@@ -182,8 +182,7 @@ def backprop_decoder(
     if cfg.variant == REDUCED:
         _reduced_backward(dg_stack, cache, weights, cfg, grads)
     elif cfg.variant == LSTM:
-        for ids, cells, dg in zip(cache.ids.tolist(), cache.pn, dg_stack):
-            _lstm_backward(dg, ids, cells, weights, cfg, grads)
+        _lstm_backward(dg_stack, cache, weights, cfg, grads)
     else:
         # the output is the history's embeddings, most recent first
         np.add.at(grads["emb"], cache.ids, dg_stack.reshape(*cache.ids.shape, cfg.d_e))
@@ -223,43 +222,36 @@ def _reduced_backward(dg, cache: ForwardCache, weights, cfg, grads):
     np.add.at(grads["emb"], cache.ids, dE)
 
 
-def _lstm_backward(dg, ids, cells, weights, cfg, grads):
-    """One history, ``ids`` most recent first; ``cells[t * L + l]`` holds
-    the activations of layer l at step t of its non-pad labels."""
-    labels = [i for i in ids[::-1] if i != cfg.pad_id]
+def _lstm_backward(dg, cache: ForwardCache, weights, cfg, grads):
+    """All U+1 histories at once, walking ``prediction_forward``'s steps in
+    reverse.  A row's output gradient starts at the top layer and passes
+    unchanged through the steps that row skips (its pads)."""
     layers = weights.lstm
-    L = len(layers)
-    dh_carry = [np.zeros(cfg.lstm_proj) for _ in range(L)]
-    dc_carry = [np.zeros(cfg.lstm_units) for _ in range(L)]
-    last = len(labels) - 1
-    for t in range(last, -1, -1):
-        dx_above = None
-        for li in range(L - 1, -1, -1):
-            x, h_prev, c_prev, i, f, g, o, tanh_c, h_cell = cells[t * L + li]
+    dh = [np.zeros((len(dg), cfg.lstm_proj)) for _ in layers]
+    dc = [np.zeros((len(dg), cfg.lstm_units)) for _ in layers]
+    dh[-1] += dg
+    for k, rows, cells in reversed(cache.pn):
+        dx = None
+        for li in range(len(layers) - 1, -1, -1):
+            x, h_prev, c_prev, i, f, g, o, tanh_c, h_cell = cells[li]
             layer = layers[li]
-            grad_h = dh_carry[li].copy()
-            if li == L - 1:
-                if t == last:
-                    grad_h += dg
-            else:
-                grad_h += dx_above
-            d_h_cell = layer.w_p @ grad_h
-            grads[f"lstm{li}_w_p"] += np.outer(h_cell, grad_h)
+            grad_h = dh[li][rows]
+            if dx is not None:
+                grad_h += dx
+            d_h_cell = grad_h @ layer.w_p.T
+            grads[f"lstm{li}_w_p"] += h_cell.T @ grad_h
             do = d_h_cell * tanh_c
-            dc = d_h_cell * o * (1.0 - tanh_c**2) + dc_carry[li]
-            di = dc * g
-            df = dc * c_prev
-            dgate = dc * i
-            dc_carry[li] = dc * f
+            d_c = d_h_cell * o * (1.0 - tanh_c**2) + dc[li][rows]
+            dc[li][rows] = d_c * f
             dz = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dgate * (1.0 - g**2),
+                d_c * g * i * (1.0 - i),
+                d_c * c_prev * f * (1.0 - f),
+                d_c * i * (1.0 - g**2),
                 do * o * (1.0 - o),
-            ])
-            grads[f"lstm{li}_w_x"] += np.outer(x, dz)
-            grads[f"lstm{li}_w_h"] += np.outer(h_prev, dz)
-            grads[f"lstm{li}_bias"] += dz
-            dx_above = layer.w_x @ dz
-            dh_carry[li] = layer.w_h @ dz
-        grads["emb"][labels[t]] += dx_above
+            ], axis=1)
+            grads[f"lstm{li}_w_x"] += x.T @ dz
+            grads[f"lstm{li}_w_h"] += h_prev.T @ dz
+            grads[f"lstm{li}_bias"] += dz.sum(axis=0)
+            dx = dz @ layer.w_x.T
+            dh[li][rows] = dz @ layer.w_h.T
+        np.add.at(grads["emb"], cache.ids[rows, k], dx)

@@ -18,6 +18,8 @@ from .nets import joint_forward, prediction_forward
 from .rng import SeededRng
 from .weights import ModelWeights
 
+BLOCK_RUNS = 100  # steps a decoder runs before the next decoder's turn
+
 
 @dataclass
 class TimingStats:
@@ -26,16 +28,12 @@ class TimingStats:
     times_ms: np.ndarray
 
 
-def step_timer(step_fn, runs: int, warmup: int | None = None) -> TimingStats:
+def step_timer(step_fn, runs: int, warmup: int = 0) -> TimingStats:
     """Time ``runs`` calls of ``step_fn`` after ``warmup`` unrecorded calls.
-
-    ``warmup`` defaults to 10% of ``runs``.  Reports mean and population
-    standard deviation in milliseconds.
+    Reports mean and population standard deviation in milliseconds.
     """
     if runs < 1:
         raise ConfigError(f"benchmark needs runs >= 1, got {runs}")
-    if warmup is None:
-        warmup = runs // 10
     for _ in range(warmup):
         step_fn()
     times = np.empty(runs, dtype=np.float64)
@@ -102,13 +100,20 @@ def cpu_label() -> str:
     return platform.processor() or platform.machine() or "unknown-cpu"
 
 
-def bench_decoder(
-    name: str,
-    weights: ModelWeights,
-    config: DecoderConfig,
-    runs: int,
-    warmup: int | None = None,
-    seed: int = 0,
-) -> BenchRecord:
-    stats = step_timer(make_step_fn(weights, config, seed=seed), runs, warmup)
-    return BenchRecord(cpu_label(), name, runs, stats.mean_ms, stats.std_ms)
+def bench_decoders(decoders, runs: int, warmup: int, seed: int = 0) -> list[BenchRecord]:
+    """One BenchRecord per (name, weights, config) of ``decoders``, each from
+    ``runs`` timed steps after ``warmup`` unrecorded ones.  The decoders take
+    turns in blocks of ``BLOCK_RUNS`` steps, so load on the host during the
+    run falls on all of them alike and does not decide their ratio.
+    """
+    if runs < 1:
+        raise ConfigError(f"benchmark needs runs >= 1, got {runs}")
+    steps = [make_step_fn(weights, config, seed=seed) for _, weights, config in decoders]
+    times = np.empty((len(steps), runs))
+    for start in range(0, runs, BLOCK_RUNS):
+        for step, row in zip(steps, times):
+            block = row[start : start + BLOCK_RUNS]
+            block[:] = step_timer(step, len(block), 0 if start else warmup).times_ms
+    label = cpu_label()
+    return [BenchRecord(label, name, runs, float(t.mean()), float(t.std()))
+            for (name, _, _), t in zip(decoders, times)]

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bench import BenchRecord, bench_decoder
+from .bench import bench_decoders
 from .config import DecoderConfig
 from .decoding import beam_decode, convert_to_lookup, greedy_decode
 from .embr import dev_risk
@@ -212,15 +212,13 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench.decoders must list at least one decoder")
     seed = args.seed if args.seed is not None else bench.seed
     dtype = np.float32 if bench.dtype == "f4" else np.float64
-    warmup = bench.warmup if bench.warmup > 0 else None
+    warmup = bench.warmup or bench.runs // 10
     # Build every decoder before any timing starts.
     built = [
-        (name, dec, init_weights(dec, seed=seed, dtype=dtype))
+        (name, init_weights(dec, seed=seed, dtype=dtype), dec)
         for name, dec in bench.decoders
     ]
-    records: list[BenchRecord] = []
-    for name, dec, weights in built:
-        records.append(bench_decoder(name, weights, dec, bench.runs, warmup, seed=seed))
+    records = bench_decoders(built, bench.runs, warmup, seed=seed)
     flops = {name: step_flops(dec) for name, dec in bench.decoders}
     base_name = records[0].decoder_name
     comparisons = [

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DecoderConfig
-from .errors import CapacityError, ConfigError, ShapeError
+from .errors import CapacityError, ConfigError, DomainError, ShapeError
 from .mathops import log_softmax, logaddexp
 from .nets import joint_forward, prediction_forward
 from .weights import ModelWeights, check_config
@@ -185,12 +185,15 @@ def _best_extensions(frontier, scores: np.ndarray, beam_width: int):
 
     ``scores`` is (len(frontier), V).  Every candidate at or above the B-th
     largest score is kept, so ties at the threshold are settled by labels
-    exactly as a full sort would settle them.
+    exactly as a full sort would settle them.  NaN scores that leave no
+    candidate raise DomainError.
     """
     flat = scores.ravel()
     cut = flat.size - beam_width
     if cut > 0:
         idx = np.flatnonzero(flat >= np.partition(flat, cut)[cut])
+        if not idx.size:  # at least B scores are NaN, so none reaches the NaN threshold
+            raise DomainError("beam search met NaN extension scores (non-finite network output)")
     else:
         idx = np.arange(flat.size)
     rows, cols = np.divmod(idx, scores.shape[1])

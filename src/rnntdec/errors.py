@@ -66,6 +66,6 @@ class ValidationError(ArchiveError):
 
 
 class DivergenceError(RnntError):
-    """Training produced a non-finite loss."""
+    """Training or EMBR produced a non-finite loss or risk."""
 
     category = "divergence"

@@ -8,7 +8,7 @@ standing in for labels before the start; ``prediction_forward`` takes an
 (n, N) matrix of them.  Every row of a batch equals the output of its
 window run alone, bit for bit, because batches use stacked vector-matrix
 products (never one matrix product, which rounds differently) and row-wise
-LayerNorm and Swish.
+LayerNorm, Swish and LSTM gates.
 """
 
 from __future__ import annotations
@@ -65,40 +65,41 @@ def predict_single_head(E: np.ndarray, positions: np.ndarray) -> np.ndarray:
 
 
 def lstm_cell(x: np.ndarray, h: np.ndarray, c: np.ndarray, layer: LstmLayer, cache=None):
-    """One LSTM-with-projection step; returns (h_proj, c).
+    """One LSTM-with-projection step over (rows, ·) arrays; returns (h_proj, c).
 
     ``cache``, when given, is a list that receives the step's activations
     ``(x, h, c, i, f, g, o, tanh(c_new), h_cell)`` for the backward pass.
     """
-    gates = x @ layer.w_x + h @ layer.w_h + layer.bias
-    units = c.shape[0]
-    i = sigmoid(gates[:units])
-    f = sigmoid(gates[units : 2 * units])
-    g = np.tanh(gates[2 * units : 3 * units])
-    o = sigmoid(gates[3 * units :])
+    gates = np.matmul(x[:, None], layer.w_x)[:, 0] + np.matmul(h[:, None], layer.w_h)[:, 0]
+    gates += layer.bias
+    units = c.shape[1]
+    i = sigmoid(gates[:, :units])
+    f = sigmoid(gates[:, units : 2 * units])
+    g = np.tanh(gates[:, 2 * units : 3 * units])
+    o = sigmoid(gates[:, 3 * units :])
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
     h_cell = o * tanh_c
     if cache is not None:
         cache.append((x, h, c, i, f, g, o, tanh_c, h_cell))
-    return h_cell @ layer.w_p, c_new
+    return np.matmul(h_cell[:, None], layer.w_p)[:, 0], c_new
 
 
 def prediction_forward(
     ids: np.ndarray, weights: ModelWeights, config: DecoderConfig, cache=None
 ) -> np.ndarray:
     """(n, pn_out) prediction-network outputs of an (n, N) recent-first id
-    matrix, one row per history window.  Reduced batches run as stacked
-    vector-matrix products and LayerNorm and Swish run row-wise, so every
-    row equals the output of its window run alone, bit for bit.  The LSTM
-    runs its histories one after another.
+    matrix, one row per history window; every row equals the output of its
+    window run alone, bit for bit.  The LSTM runs its rows in lockstep over
+    the N steps, oldest label first, each step only on the rows whose id
+    there is not the pad, so an all-pad window yields the zero vector.
 
     ``cache``, when given, is a list that receives what the backward pass
     (``backprop.backprop_decoder``) needs from this call: for reduced, one
     tuple ``(avg, z, y)`` of (n, ·) arrays, the head averages, projections
-    and LayerNorm outputs; for lstm, one list per history of every
-    ``lstm_cell`` activation, step by step and layer by layer; nothing for
-    the two embedding variants, whose backward pass needs only the ids.
+    and LayerNorm outputs; for lstm, one ``(step, rows, cells)`` entry per
+    step that ran: its non-pad rows and each layer's ``lstm_cell``
+    activations; nothing for the two embedding variants.
     """
     config = check_config(weights, config)
     E = embed(ids, weights)  # (n, N, d_e); checks the ids' type, rank and range
@@ -117,33 +118,19 @@ def prediction_forward(
     if config.variant == CONCAT_2EMB:
         return E.reshape(len(ids), -1)
     assert config.variant == LSTM
-    return np.stack([_lstm_history(row, E[r], weights, config, cache)
-                     for r, row in enumerate(ids.tolist())])
-
-
-def _lstm_history(ids, E, weights: ModelWeights, config: DecoderConfig, cache):
-    """Stacked-LSTM output for one history; ``E`` holds its embeddings.
-
-    The LSTM runs over the non-pad labels, oldest first.  Pads are skipped,
-    so an all-pad window yields the zero vector; the recurrent state always
-    starts from zero at the window boundary.  Histories run one at a time:
-    one masked (n, ·) cell per step gives the same forward rows bit for bit,
-    but its backward pass sums each weight gradient over the rows in one
-    product per step, which moves the gradients' last bits.
-    """
-    cells = None
-    if cache is not None:
-        cells = []
-        cache.append(cells)
-    hs = [np.zeros(config.lstm_proj, dtype=weights.dtype) for _ in weights.lstm]
-    cs = [np.zeros(config.lstm_units, dtype=weights.dtype) for _ in weights.lstm]
-    for k in range(len(ids) - 1, -1, -1):
-        if ids[k] == config.pad_id:
+    hs = [np.zeros((len(ids), config.lstm_proj), dtype=weights.dtype) for _ in weights.lstm]
+    cs = [np.zeros((len(ids), config.lstm_units), dtype=weights.dtype) for _ in weights.lstm]
+    for k in range(config.history_len - 1, -1, -1):
+        rows = np.flatnonzero(ids[:, k] != config.pad_id)
+        if not rows.size:
             continue
-        x = E[k]
+        cells = None if cache is None else []
+        x = E[rows, k]
         for li, layer in enumerate(weights.lstm):
-            hs[li], cs[li] = lstm_cell(x, hs[li], cs[li], layer, cells)
-            x = hs[li]
+            x, cs[li][rows] = lstm_cell(x, hs[li][rows], cs[li][rows], layer, cells)
+            hs[li][rows] = x
+        if cache is not None:
+            cache.append((k, rows, cells))
     return hs[-1]
 
 

@@ -191,6 +191,7 @@ def embr_phase(
 
     Runs for ``params.steps`` updates, defaulting to one tenth of the main
     training step count.  Batches are drawn by deterministic shuffling.
+    Raises DivergenceError as soon as a batch risk goes non-finite.
     """
     steps = params.steps
     if steps <= 0:
@@ -202,12 +203,17 @@ def embr_phase(
     tensors = trainable_tensors(weights)
     step_risks: list[float] = []
     order: list[int] = []
-    for _ in range(steps):
+    for step in range(steps):
         if len(order) < params.batch_size:
             order.extend(int(i) for i in rng.permutation(len(train_set)))
         batch = [train_set[i] for i in order[: params.batch_size]]
         del order[: params.batch_size]
-        risk, grads = embr_batch_grads(batch, weights, config, params)
+        try:
+            risk, grads = embr_batch_grads(batch, weights, config, params)
+        except DomainError as e:
+            raise DivergenceError(f"EMBR diverged at step {step} (lr={params.lr}): {e}") from e
+        if not np.isfinite(risk):
+            raise DivergenceError(f"EMBR diverged (risk={risk}) at step {step} (lr={params.lr})")
         optimizer.step(tensors, grads)
         step_risks.append(risk)
     return EmbrPhaseResult(weights, step_risks, 0, steps)

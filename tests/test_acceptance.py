@@ -29,7 +29,7 @@ from rnntdec import (
     tied_savings,
     transducer_loss,
 )
-from rnntdec.bench import bench_decoder
+from rnntdec.bench import bench_decoders
 from rnntdec.config import PRESET_NAMES
 from rnntdec.decoding import Hypothesis, beam_decode
 from rnntdec.embr import NBestList, utterance_risk, utterance_risk_grads
@@ -260,8 +260,9 @@ def test_criterion_09_latency_scaled(capsys):
         reduced_w = init_weights(reduced_cfg, seed=0, dtype=np.float32)
         lstm_w = init_weights(lstm_cfg, seed=0, dtype=np.float32)
         runs, warmup = 10_000, 100
-        reduced_rec = bench_decoder("reduced_small", reduced_w, reduced_cfg, runs, warmup)
-        lstm_rec = bench_decoder("lstm", lstm_w, lstm_cfg, runs, warmup)
+        reduced_rec, lstm_rec = bench_decoders(
+            [("reduced_small", reduced_w, reduced_cfg), ("lstm", lstm_w, lstm_cfg)], runs, warmup
+        )
         speedup = lstm_rec.mean_ms / reduced_rec.mean_ms
         with capsys.disabled():
             print(

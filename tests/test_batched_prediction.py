@@ -14,6 +14,7 @@ import pytest
 
 import rnntdec.backprop
 import rnntdec.decoding
+import rnntdec.nets
 from rnntdec import SeededRng, beam_decode, prediction_forward
 from rnntdec.backprop import forward_grid
 from rnntdec.errors import DomainError
@@ -138,6 +139,40 @@ def test_forward_grid_makes_one_prediction_call(key, monkeypatch):
     _, cache = forward_grid(frames, target, w, cfg)
     assert log.count("prediction_forward") == 1
     assert cache.g_stack.shape == (len(target) + 1, cfg.pn_out_dim)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 15])
+def test_lstm_batch_runs_each_step_and_layer_once(rows, monkeypatch):
+    w, cfg, ids = row_cases("lstm", np.dtype("f8"))
+    log = CallLog(monkeypatch, (rnntdec.nets, "lstm_cell"))
+    prediction_forward(ids[-rows:], w, cfg)
+    assert log.count("lstm_cell") <= cfg.history_len * cfg.lstm_layers
+
+
+def lstm_alone(labels, w, cfg):
+    """The LSTM output after ``labels`` (oldest first), one cell call per
+    label and layer on one-row arrays."""
+    hs = [np.zeros((1, cfg.lstm_proj), dtype=w.dtype) for _ in w.lstm]
+    cs = [np.zeros((1, cfg.lstm_units), dtype=w.dtype) for _ in w.lstm]
+    for label in labels:
+        x = w.emb[[label]]
+        for li, layer in enumerate(w.lstm):
+            hs[li], cs[li] = rnntdec.nets.lstm_cell(x, hs[li], cs[li], layer)
+            x = hs[li]
+    return hs[-1][0]
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+def test_lstm_pads_anywhere_are_skipped(dtype):
+    cfg = tiny_config("lstm", history_len=3)
+    w = init_weights(cfg, seed=0, dtype=np.dtype(dtype))
+    pad = cfg.pad_id
+    batch = np.array([[3, pad, 2], [pad, 1, 2], [pad, pad, pad], [1, 2, 3], [pad, pad, 0]])
+    expected = [lstm_alone([i for i in row[::-1] if i != pad], w, cfg) for row in batch]
+    np.testing.assert_array_equal(expected[2], np.zeros(cfg.lstm_proj))
+    for r in range(len(batch)):
+        np.testing.assert_array_equal(prediction_forward(batch[r:r + 1], w, cfg)[0], expected[r])
+    np.testing.assert_array_equal(prediction_forward(batch, w, cfg), np.stack(expected))
 
 
 def test_forward_grid_rejects_ids_outside_the_vocabulary():

@@ -255,6 +255,18 @@ class TestPipeline:
         assert main(["train", cfg, str(tmp_path / "m.rnnt")]) == 5
         assert capsys.readouterr().err.startswith("error[divergence]")
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_embr_divergence_exit_code(self, tmp_path, capsys):
+        model = str(tmp_path / "m.rnnt")
+        assert main(["train", write(tmp_path, "toy.json", TOY_CONFIG), model]) == 0
+        doc = dict(TOY_CONFIG, embr=dict(TOY_CONFIG["embr"], lr=1e300, grad_clip=0.0, steps=3))
+        capsys.readouterr()
+        assert main(["embr", write(tmp_path, "diverge.json", doc), model,
+                     str(tmp_path / "e.rnnt")]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[divergence]")
+
 
 class TestDecodeInputDtype:
     """Decode inputs take the model's dtype, so f4 models stay in f4."""

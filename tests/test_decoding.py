@@ -12,7 +12,7 @@ from rnntdec import (
 )
 from rnntdec.bench import step_timer
 from rnntdec.decoding import LookupTable
-from rnntdec.errors import CapacityError, ConfigError, ShapeError
+from rnntdec.errors import CapacityError, ConfigError, DomainError, ShapeError
 from rnntdec.mathops import log_softmax
 from rnntdec.nets import joint_forward
 
@@ -176,6 +176,12 @@ class TestBeam:
         w = all_blank_model(cfg)
         nbest = beam_decode(np.zeros((0, cfg.d_enc)), w, cfg, 4)
         assert len(nbest) == 1 and nbest[0].labels == () and nbest[0].log_prob == 0.0
+
+    def test_nan_weights_are_domain_error(self):
+        cfg, w, frames = random_beam_instance(2)
+        w.out_w[0, 0] = np.nan
+        with pytest.raises(DomainError):
+            beam_decode(frames, w, cfg, 1)
 
 
 def zero_joint_model(cfg, dtype=np.float64):

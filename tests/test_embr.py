@@ -1,12 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rnntdec import DecoderConfig, Hypothesis, NBestList, SeededRng, edit_distance, embr_risk
-from rnntdec.embr import utterance_risk, utterance_risk_grads
-from rnntdec.errors import DomainError
+from rnntdec.backprop import zero_grads
+from rnntdec.embr import EmbrParams, utterance_risk, utterance_risk_grads
+from rnntdec.errors import DivergenceError, DomainError
 from rnntdec.toy import Utterance
+from rnntdec.train import embr_phase
 from rnntdec.weights import init_encoder_stub, init_weights, trainable_tensors
 
 from helpers import assert_grads_close, fd_gradients, pad_row_mask, tiny_config
@@ -132,3 +136,29 @@ class TestRiskGradients:
         res = embr_risk(NBestList(risk_res_entries, ref))
         assert res.risk < 1e-9
         np.testing.assert_allclose(res.dlog_prob, 0.0, atol=1e-8)
+
+
+class TestEmbrPhaseDivergence:
+    def run(self, w, cfg):
+        utts = [Utterance(SeededRng(6).normal((3, 4)), [1, 0])]
+        return embr_phase(w, cfg, utts, EmbrParams(beam_width=2, steps=1, batch_size=1, lr=0.5))
+
+    def model(self):
+        cfg = tiny_config("reduced", tied=True, vocab_size=3, history_len=2)
+        w = init_weights(cfg, seed=2)
+        w.enc_stub = init_encoder_stub(4, cfg.d_enc, 5)
+        return w, cfg
+
+    def test_non_finite_forward(self):
+        w, cfg = self.model()
+        w.out_w[0, 0] = np.nan
+        with pytest.raises(DivergenceError, match=r"step 0 \(lr=0.5\)"):
+            self.run(w, cfg)
+
+    def test_non_finite_risk(self, monkeypatch):
+        w, cfg = self.model()
+        # the package exports the function ``train`` under the module's name
+        monkeypatch.setattr(importlib.import_module("rnntdec.train"), "embr_batch_grads",
+                            lambda *args: (float("nan"), zero_grads(w)))
+        with pytest.raises(DivergenceError, match=r"risk=nan\) at step 0 \(lr=0.5\)"):
+            self.run(w, cfg)

@@ -77,7 +77,10 @@ CASES = [
 # recorded from the grids built one fresh temporary per elementwise step; the
 # 16 f4 risk digests were re-recorded when the risk path stopped rounding its
 # summed frame gradient to f4 before the encoder-stub product (the loss path
-# never did), and equal that older code with the sum started in float64
+# never did), and equal that older code with the sum started in float64; the
+# 16 lstm digests were re-recorded when the LSTM backward pass went lockstep
+# over all histories, which sums each weight gradient over the rows in one
+# product per step (the loss and risk values stayed bit-equal)
 GRAD_DIGESTS = {
     "loss-reduced-tied-f8-long": "27e130bb9f035236cbf5abc843571cda828805c4e39c242a38588b8402da59c9",
     "loss-reduced-tied-f8-toy": "2663d8693ae5f33b7193fd03e8cbf3a22d79ebea68e4292e6cbc46e08a139b4e",
@@ -103,14 +106,14 @@ GRAD_DIGESTS = {
     "loss-concat2emb-untied-f8-toy": "1779e9a4f313041cae5d2ce2e6859e371b50ac5ef07eb1db48bb537899e4d90f",
     "loss-concat2emb-untied-f4-long": "deba7416be38d8d2a3b5f0eff4c8c031fbb5f655babb351e5eb79976f0042b45",
     "loss-concat2emb-untied-f4-toy": "f3f082100e35728d446ff75802c1ef2030871a155d5ba19622dec1fefc30519f",
-    "loss-lstm-tied-f8-long": "ef981a9d7de33d04820e9d9e130e50eb17a08e8074f3eda687a217dcb4fd1cff",
-    "loss-lstm-tied-f8-toy": "457ab563244a80d7b25ee7e2da1fa2c03913d02b2db2b9a16823b080340cee77",
-    "loss-lstm-tied-f4-long": "b7edd31c7244c250a63130718faa6e594a8ae8ddd21db52b9d33a6ec8c990d19",
-    "loss-lstm-tied-f4-toy": "95f289dd9b5309833e9338412872b6f01a1fd98886fd52971ff58cc5c3f5cc8e",
-    "loss-lstm-untied-f8-long": "3bd0557ec1e2b2e9c3d3ee9d9c8510a09b7f38eac39a9294fa6b3351e242f990",
-    "loss-lstm-untied-f8-toy": "abd0d9246adffa8f0b474fb55ab5ca1e1f49606735c40447fd6018cf26093b19",
-    "loss-lstm-untied-f4-long": "3ff5bd70466c2456d1a5b0ae9087a41ee793d6d1e8a44156894f44351dfb4939",
-    "loss-lstm-untied-f4-toy": "927228d1011feb9c47addd7b180bb4b513261bf211eed3ca040b2d0765ebf752",
+    "loss-lstm-tied-f8-long": "a99f6a304eb369d3d8d059e5ac9ad5db0b834047a5ed07ee7e1e784dd2bb0546",
+    "loss-lstm-tied-f8-toy": "90025b68a933445b4e31846c72ab28de7ddfe151d9422e1a83bd1cdd777f98ae",
+    "loss-lstm-tied-f4-long": "a2b9d71f771740be4dccb97d07694dad4b67cd651c68f5fe31f4c50331b7ebc0",
+    "loss-lstm-tied-f4-toy": "676a453b236569da884af2c8bd632387a84ff102c03ec452c3e1903cca1f19c5",
+    "loss-lstm-untied-f8-long": "b84e5cb991fab8af7ea7a0fa4145d9ed09deca900899c7a7ec2dc6cfdb342d30",
+    "loss-lstm-untied-f8-toy": "742d0f578c9e95689b7deff09cfec279cb9953e0e0ac2cd481f3a256197fd9a7",
+    "loss-lstm-untied-f4-long": "0ff7ddfd98abf1686ae3b56f913b12426cdc4fc4b7b923088326a3f54e763ab3",
+    "loss-lstm-untied-f4-toy": "db41b31d63b79c403bf4434f0a814b60ad66eb7cc7d4672a7431a6558a6d6514",
     "risk-reduced-tied-f8-long": "e504cd4636a7ef4a8c6977bf70ff94d542d71ba0248f27e83895d56965410cd0",
     "risk-reduced-tied-f8-toy": "738838f1cea818ce967cee7d4f784fc18408a3c6b5b4a7173946d785bcf8eb7f",
     "risk-reduced-tied-f4-long": "20b5f25f5810a46c20ee3394c0e842a6f2ed5b279615bd9122b977155adb21a0",
@@ -135,14 +138,14 @@ GRAD_DIGESTS = {
     "risk-concat2emb-untied-f8-toy": "c97fa6090d81391316a63f85deb2db61974ca0e5b7e36ae3d8824ef20ed9960f",
     "risk-concat2emb-untied-f4-long": "21c68f0c4d9b5bd8926f4a6eafc1a66efeb1d3024620c73f0acdebf3acf24955",
     "risk-concat2emb-untied-f4-toy": "e18a912c00ee565996f07d767713d35f38d6b205a94f506ad0d64d1e31ac37e2",
-    "risk-lstm-tied-f8-long": "1d3e99cbce3f257bab8032847a2433e1eb7dce74aeb1e045b5bdcff417b73e74",
-    "risk-lstm-tied-f8-toy": "b25adecfb68e257a3e4c4a9d1baaa6a41b674b6ce79a0ec8e19a7241488279db",
-    "risk-lstm-tied-f4-long": "2dc0f525b4aa0a98056a0ecf3ec7badda8af3f02d8926033d28b5b780cabc74f",
-    "risk-lstm-tied-f4-toy": "1fd480b47416270f66afc6f1964fdea8e582abf5d683d45934b2a7292cb706c8",
-    "risk-lstm-untied-f8-long": "2b47b737bd4cea4591b8f96e7e8d6033b500f5273854bc7a83147364b1207063",
-    "risk-lstm-untied-f8-toy": "464959a0ab38f16d0bb271267baf34cf68607ed73aadea7a77f07325e7ad02b7",
-    "risk-lstm-untied-f4-long": "27da1ef9c9dee36b87eeff6cfa3065585ba0bafc7c3e80611d010716c3cf0420",
-    "risk-lstm-untied-f4-toy": "ac527d5f24f6b2de4d6e147cbc1fd22662e181362957f417bf4df109ea47f5db",
+    "risk-lstm-tied-f8-long": "3e2afcc1e9f0f14a92c49211981403968fe541c650274a720ac24f43a4262d5e",
+    "risk-lstm-tied-f8-toy": "73bfc4de193295f76ec021d648a05637f9c4e7f4c6ea3b99b1a9d84fe28ecbaf",
+    "risk-lstm-tied-f4-long": "46a2428228c4bf43419ff4d883254816892d818bedb6a5920df700fd58e93ae4",
+    "risk-lstm-tied-f4-toy": "652c921e45cef6d9680da488af340c585eb67b941f07c12a2efc831a8f03ff73",
+    "risk-lstm-untied-f8-long": "136a266cef1191b8b08760c9859de40b92c60c9f15789ff8faf4128f3b77c4d8",
+    "risk-lstm-untied-f8-toy": "63f343acac5daabad6542605194a99d32294b3e592b87782b87e4a139ce9530e",
+    "risk-lstm-untied-f4-long": "59a7c413261157f71b865f4fbe601f28566d4d79e7dc0f9ecfb8e705d655fdcc",
+    "risk-lstm-untied-f4-toy": "d432eba35da4d107ed82133f3aa2fd1247b8a53d2fba2675264dafbea60a760c",
 }
 
 
