@@ -1,24 +1,26 @@
 """Hand-derived backpropagation through the joint and prediction networks.
 
-``forward_grid`` evaluates the full T x (U+1) logits grid for one utterance.
-It sends the U+1 histories of the target through one batched call of the
-decoder's own ``nets.prediction_forward``, asking it to keep the
-activations the backward pass needs; every row of a batch equals the
-single-history output, so training scores exactly the prediction outputs
-decoding produces.  ``backprop_decoder`` then runs the backward pass over
-all U+1 histories at once, the LSTM's in lockstep.  Gradients are
-returned as a flat name -> array dict keyed by the tensor table
-(``weights.tensor_specs``); tied models accumulate the output-layer
+``forward_windows`` evaluates a T x W logits grid: every frame of one
+utterance against every row of a (W, N) matrix of history windows.  It
+sends the W windows through one batched call of the decoder's own
+``nets.prediction_forward``, asking it to keep the activations the
+backward pass needs; every row of a batch equals the single-history
+output, so training scores exactly the prediction outputs decoding
+produces.  ``forward_grid`` is its case for one target: the U+1 windows
+before each target position, the training grid.  ``backprop_decoder`` then
+runs the backward pass over all W windows at once, the LSTM's in lockstep.
+Gradients are returned as a flat name -> array dict keyed by the tensor
+table (``weights.tensor_specs``); tied models accumulate the output-layer
 gradient into the embedding gradient, and the pad embedding row's gradient
 is forced to zero.
 
-Grid buffers of one utterance, each (T, U+1, width), every elementwise step
+Grid buffers of one utterance, each (T, W, width), every elementwise step
 done in place in one of them:
 
-- ``hidden`` (d_h): ``forward_grid`` adds, biases and tanhs it in one
+- ``hidden`` (d_h): ``forward_windows`` adds, biases and tanhs it in one
   buffer and keeps it in the ``ForwardCache``; ``backprop_decoder`` then
   overwrites it with ``1 - hidden**2``, so a cache serves one backward pass.
-- ``logits`` (V+1): ``forward_grid``'s result (and, for f4 models, the
+- ``logits`` (V+1): ``forward_windows``'s result (and, for f4 models, the
   float64 copy ``transducer_loss`` takes).
 - ``lp`` (V+1): ``lattice.transducer_loss``'s log-probabilities; their
   buffer becomes ``dlogits``.  ``log_softmax`` briefly holds one more V+1
@@ -28,9 +30,12 @@ done in place in one of them:
 
 So at most two d_h-wide grids are live at once.
 
-Training and EMBR share one backward chain, ``utterance_grads``: the
-transducer loss is its one-term case (scale 1), the EMBR risk its n-best
-case (scale -d(risk)/d(log P(h))), and ``batch_mean`` averages either.
+Training and EMBR share one backward chain, ``utterance_grads``: one
+``backprop_decoder`` over an utterance's grid, chained into the encoder
+stub.  Training feeds it the transducer loss's ``dlogits`` over the target's
+grid, EMBR the risk's: each n-best hypothesis's ``dlogits`` over its own
+columns of one grid of the list's distinct windows, scaled by
+-d(risk)/d(log P(h)) and summed.  ``batch_mean`` averages either.
 """
 
 from __future__ import annotations
@@ -50,10 +55,10 @@ from .weights import ModelWeights, check_config, get_tensor, specs_of
 @dataclass
 class ForwardCache:
     frames: np.ndarray  # (T, d_enc)
-    ids: np.ndarray  # (U+1, N) history ids per target position, recent first
-    g_stack: np.ndarray  # (U+1, pn_out)
+    ids: np.ndarray  # (W, N) history windows, recent first
+    g_stack: np.ndarray  # (W, pn_out)
     pn: list  # what prediction_forward kept for backprop
-    hidden: np.ndarray | None  # (T, U+1, d_h); None once a backward pass used it
+    hidden: np.ndarray | None  # (T, W, d_h); None once a backward pass used it
 
 
 def zero_grads(weights: ModelWeights) -> dict[str, np.ndarray]:
@@ -70,23 +75,12 @@ def zero_grads(weights: ModelWeights) -> dict[str, np.ndarray]:
     }
 
 
-def utterance_grads(features: np.ndarray, terms, weights: ModelWeights, config: DecoderConfig):
-    """Gradient of sum(scale * loss) over one utterance's (scale, LossResult,
-    ForwardCache) terms, from ``forward_grid`` on the frames of ``features``,
-    chained into the encoder stub when the model has one.  Scales each
-    ``dlogits`` in place and uses up each cache; no terms give zero grads."""
-    grads = dframes = None
-    for scale, result, cache in terms:
-        result.dlogits *= scale
-        term_grads, term_dframes = backprop_decoder(result.dlogits, cache, weights, config)
-        if grads is None:  # the sum starts from the first term's gradients
-            grads, dframes = term_grads, term_dframes
-            continue
-        for name, g in term_grads.items():
-            grads[name] += g
-        dframes += term_dframes
-    if grads is None:
-        return zero_grads(weights)
+def utterance_grads(features: np.ndarray, dlogits: np.ndarray, cache: ForwardCache,
+                    weights: ModelWeights, config: DecoderConfig):
+    """Gradient of one utterance's objective from its ``dlogits`` over the
+    grid ``cache`` came from, chained into the encoder stub (fed
+    ``features``) when the model has one.  Uses up the cache."""
+    grads, dframes = backprop_decoder(dlogits, cache, weights, config)
     if weights.enc_stub is not None:
         encode_backward(features, dframes, grads)
     return grads
@@ -111,24 +105,40 @@ def batch_mean(pairs, weights: ModelWeights):
     return total / n, grads
 
 
-def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: DecoderConfig):
-    """Logits over the whole alignment grid, with cached activations.
-
-    Returns (logits (T, U+1, V+1), ForwardCache).
-    """
-    config = check_config(weights, config)
+def target_windows(target, config: DecoderConfig) -> np.ndarray:
+    """(U+1, N) recent-first history windows of a target: row u holds
+    y_{u-1}, ..., y_{u-N}, with the pad id before the start."""
     labels = np.asarray(target, dtype=np.intp)
     if labels.ndim != 1 or ((labels < 0) | (labels >= config.vocab_size)).any():
         raise DomainError(f"target ids must lie in [0, {config.vocab_size})")
     n = config.history_len
     padded = np.concatenate([np.full(n, config.pad_id, dtype=np.intp), labels])
-    # row u holds y_{u-1}, ..., y_{u-N}: the history before target position u
-    ids = np.lib.stride_tricks.sliding_window_view(padded, n)[:, ::-1]
+    return padded[np.arange(len(labels) + 1)[:, None] + np.arange(n - 1, -1, -1)]
+
+
+def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: DecoderConfig):
+    """Logits over the whole alignment grid of ``target``, with cached
+    activations: ``forward_windows`` over its U+1 history windows.
+
+    Returns (logits (T, U+1, V+1), ForwardCache).
+    """
+    config = check_config(weights, config)
+    return forward_windows(frames, target_windows(target, config), weights, config)
+
+
+def forward_windows(frames: np.ndarray, ids: np.ndarray, weights: ModelWeights,
+                    config: DecoderConfig):
+    """Logits of every frame against every window of the (W, N) recent-first
+    id matrix ``ids``, with cached activations.
+
+    Returns (logits (T, W, V+1), ForwardCache).
+    """
+    config = check_config(weights, config)
     pn: list = []
     g_stack = prediction_forward(ids, weights, config, pn)
 
     F = frames @ weights.enc_w  # (T, d_h)
-    G = g_stack @ weights.pred_w  # (U+1, d_h)
+    G = g_stack @ weights.pred_w  # (W, d_h)
     hidden = np.add(F[:, None, :], G[None, :, :])
     hidden += weights.joint_b
     np.tanh(hidden, out=hidden)
@@ -169,13 +179,13 @@ def backprop_decoder(
     # d_pre = d_hidden * (1 - hidden**2); 1 - hidden**2 overwrites hidden
     tanh_grad = np.square(hidden, out=hidden)
     np.subtract(1.0, tanh_grad, out=tanh_grad)
-    d_pre = dlogits @ out_full  # d_hidden, (T, U+1, d_h)
+    d_pre = dlogits @ out_full  # d_hidden, (T, W, d_h)
     d_pre *= tanh_grad
     grads["joint_b"] += d_pre.sum(axis=(0, 1))
     dF = d_pre.sum(axis=1)  # (T, d_h)
     grads["enc_w"] += cache.frames.T @ dF
     dframes = dF @ weights.enc_w.T
-    dG = d_pre.sum(axis=0)  # (U+1, d_h)
+    dG = d_pre.sum(axis=0)  # (W, d_h)
     grads["pred_w"] += cache.g_stack.T @ dG
     dg_stack = dG @ weights.pred_w.T
 
@@ -194,9 +204,9 @@ def backprop_decoder(
 
 
 def _reduced_backward(dg, cache: ForwardCache, weights, cfg, grads):
-    """All U+1 histories at once; row u of each array belongs to history u."""
+    """All W windows at once; row w of each array belongs to window w."""
     ((avg, z, y),) = cache.pn
-    E = weights.emb[cache.ids]  # (U+1, N, d_e)
+    E = weights.emb[cache.ids]  # (W, N, d_e)
     # swish: g = y * sigmoid(y)
     sig = sigmoid(y)
     dy = dg * (sig * (1.0 + y * (1.0 - sig)))
@@ -223,7 +233,7 @@ def _reduced_backward(dg, cache: ForwardCache, weights, cfg, grads):
 
 
 def _lstm_backward(dg, cache: ForwardCache, weights, cfg, grads):
-    """All U+1 histories at once, walking ``prediction_forward``'s steps in
+    """All W windows at once, walking ``prediction_forward``'s steps in
     reverse.  A row's output gradient starts at the top layer and passes
     unchanged through the steps that row skips (its pads)."""
     layers = weights.lstm

@@ -24,6 +24,7 @@ from .errors import (
     CapacityError,
     ConfigError,
     DivergenceError,
+    DomainError,
     RnntError,
 )
 from .model_io import load, read_archive, save, save_lookup
@@ -118,7 +119,10 @@ def cmd_embr(args) -> int:
     train_set, dev_set, main_steps = toy_corpus(dec_cfg, cfg.task, cfg.train)
     risk_before = dev_risk(dev_set, weights, dec_cfg, params)
     result = embr_phase(weights, dec_cfg, train_set, params, main_train_steps=main_steps)
-    risk_after = dev_risk(dev_set, result.weights, dec_cfg, params)
+    try:
+        risk_after = dev_risk(dev_set, result.weights, dec_cfg, params)
+    except DomainError as e:  # the same dev set scored before the phase
+        raise DivergenceError(f"EMBR diverged in its last update (step {result.steps - 1}): {e}") from e
     save(result.weights, dec_cfg, args.out_model, seed=params.seed, extra=extra)
     print(f"model: {args.out_model}")
     print(f"embr steps: {result.steps} (main training steps: {main_steps})")

@@ -24,7 +24,6 @@ one a full sort by ``(-log_prob, labels)`` would give.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,10 +221,6 @@ class LookupTable:
         for i in ids_recent_first:
             idx = idx * self.config.vocab_ext + i
         return idx
-
-    def contexts(self):
-        """All windows in table order, as recent-first tuples."""
-        return itertools.product(range(self.config.vocab_ext), repeat=self.config.history_len)
 
 
 def convert_to_lookup(

@@ -2,10 +2,15 @@
 
 Risk is the expected edit distance of the n-best hypotheses against the
 reference under the softmax posterior of their log-probs.  Hypothesis
-log-probs are exact alignment marginals (log P(h) = -loss(h)), so the risk
-gradient is training's ``backprop.utterance_grads`` with one term per
-hypothesis, averaged by the same ``backprop.batch_mean``.  Each utterance
-is encoded once, for its beam search and its rescoring.
+log-probs are exact alignment marginals (log P(h) = -loss(h)).  The
+decoder sees only the last N labels, so the hypotheses share most of their
+history windows: each utterance gets one grid (``backprop.forward_windows``)
+over the distinct windows of its whole list, and each hypothesis's lattice
+reads its own columns of it.  The risk gradient scales each hypothesis's
+``dlogits`` by -d(risk)/d(log P(h)), sums them into the grid's columns and
+runs one backward pass, training's ``backprop.utterance_grads``; batches
+average through the same ``backprop.batch_mean``.  Each utterance is
+encoded once, for its beam search and its rescoring.
 """
 
 from __future__ import annotations
@@ -14,13 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backprop import batch_mean, forward_grid, utterance_grads
+from .backprop import (
+    batch_mean, forward_grid, forward_windows, target_windows, utterance_grads, zero_grads,
+)
 from .config import DecoderConfig, DictCodec
 from .decoding import Hypothesis, beam_decode
 from .errors import DomainError
 from .lattice import transducer_loss
 from .toy import Utterance, frames_for
-from .weights import ModelWeights
+from .weights import ModelWeights, check_config
 
 
 @dataclass
@@ -109,24 +116,48 @@ def rescore_exact(frames: np.ndarray, labels, weights: ModelWeights, config: Dec
     return -res.loss, res, cache
 
 
-def _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale):
-    """Rescore every candidate exactly and take the risk of the list.
+def _distinct_windows(nbest_labels, config: DecoderConfig):
+    """The distinct history windows of all candidates as a (W, N) id matrix,
+    in order of first use, and each candidate's (U+1,) columns into it."""
+    index: dict[tuple, int] = {}
+    cols = []
+    for labels in nbest_labels:
+        windows = map(tuple, target_windows(labels, config).tolist())
+        cols.append(np.array([index.setdefault(w, len(index)) for w in windows], dtype=np.intp))
+    ids = np.array(list(index), dtype=np.intp).reshape(len(index), config.history_len)
+    return ids, cols
 
-    Returns (scored, RiskResult); ``scored[i]`` is ``rescore_exact``'s
-    (log_prob, LossResult, ForwardCache) for candidate i.
+
+def _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale):
+    """Rescore every candidate exactly over one grid of the list's distinct
+    history windows, and take the risk of the list.
+
+    Returns (cache, scored, RiskResult): ``cache`` is the grid's
+    ForwardCache and ``scored[i]`` candidate i's (columns, LossResult).
     """
-    scored = [rescore_exact(frames, labels, weights, config) for labels in nbest_labels]
-    entries = [
-        Hypothesis(labels, lp) for labels, (lp, _, _) in zip(nbest_labels, scored)
-    ]
-    return scored, embr_risk(NBestList(entries, tuple(utt.labels)), posterior_scale)
+    config = check_config(weights, config)
+    ids, cols = _distinct_windows(nbest_labels, config)
+    logits, cache = forward_windows(frames, ids, weights, config)
+    scored = [(c, transducer_loss(logits[:, c], labels)) for c, labels in zip(cols, nbest_labels)]
+    entries = [Hypothesis(labels, -res.loss) for labels, (_, res) in zip(nbest_labels, scored)]
+    return cache, scored, embr_risk(NBestList(entries, tuple(utt.labels)), posterior_scale)
 
 
 def _risk_grads(utt, frames, nbest_labels, weights, config, posterior_scale):
-    scored, result = _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale)
-    # d(risk)/d(logits_h) = dlp * d(log P)/d(logits) = -dlp * dloss/dlogits
-    terms = [(-dlp, res, cache) for dlp, (_, res, cache) in zip(result.dlog_prob, scored) if dlp]
-    return result.risk, utterance_grads(utt.features, terms, weights, config)
+    cache, scored, result = _score_nbest(
+        utt, frames, nbest_labels, weights, config, posterior_scale)
+    if not result.dlog_prob.any():
+        return result.risk, zero_grads(weights)
+    # d(risk)/d(logits_h) = dlp * d(log P)/d(logits) = -dlp * dloss/dlogits,
+    # summed into the grid's columns; np.add.at because a candidate can
+    # meet one window at several positions
+    dlogits = np.zeros(cache.hidden.shape[:2] + (config.vocab_size + 1,))
+    for dlp, (cols, res) in zip(result.dlog_prob, scored):
+        if dlp:
+            res.dlogits *= -dlp
+            np.add.at(dlogits, (slice(None), cols), res.dlogits)
+    del scored, res  # the backward pass holds no candidate's gradient
+    return result.risk, utterance_grads(utt.features, dlogits, cache, weights, config)
 
 
 def utterance_risk(
@@ -138,7 +169,7 @@ def utterance_risk(
 ) -> float:
     """Risk of a fixed candidate set under the current weights (no gradient)."""
     frames = frames_for(utt, weights)
-    return _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale)[1].risk
+    return _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale)[2].risk
 
 
 def utterance_risk_grads(
@@ -191,5 +222,5 @@ def dev_risk(
     """Mean risk of each utterance's beam n-best list (evaluation only)."""
     total = 0.0
     for utt, frames, labels in _decoded(dev_set, weights, config, params.beam_width):
-        total += _score_nbest(utt, frames, labels, weights, config, params.posterior_scale)[1].risk
+        total += _score_nbest(utt, frames, labels, weights, config, params.posterior_scale)[2].risk
     return total / len(dev_set) if dev_set else 0.0

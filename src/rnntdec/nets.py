@@ -116,7 +116,7 @@ def prediction_forward(
     if config.variant == STATELESS_1EMB:
         return E[:, 0]
     if config.variant == CONCAT_2EMB:
-        return E.reshape(len(ids), -1)
+        return E.reshape(len(ids), config.pn_out_dim)
     assert config.variant == LSTM
     hs = [np.zeros((len(ids), config.lstm_proj), dtype=weights.dtype) for _ in weights.lstm]
     cs = [np.zeros((len(ids), config.lstm_units), dtype=weights.dtype) for _ in weights.lstm]

@@ -1,9 +1,10 @@
 """Toy-scale training: SGD with momentum on the transducer loss, plus the
 EMBR fine-tuning phase that follows it.
 
-Both phases share one backward chain: the loss is the one-term case of
-``backprop.utterance_grads``, the risk its n-best case, and
-``backprop.batch_mean`` averages a batch of either.  Everything is
+Both phases share one backward chain, ``backprop.utterance_grads``: one
+backward pass per utterance, over the target's grid for the loss and over
+the n-best list's shared grid for the risk; ``backprop.batch_mean``
+averages a batch of either.  Everything is
 single-threaded and deterministic given the hyperparameter seed.  Per-epoch
 metrics can be appended to a JSON-lines log.
 """
@@ -75,7 +76,7 @@ class SgdMomentum:
 def utterance_loss_grads(utt: Utterance, weights: ModelWeights, config: DecoderConfig):
     """Transducer loss and gradients for one utterance (features or frames)."""
     _, result, cache = rescore_exact(frames_for(utt, weights), utt.labels, weights, config)
-    return result.loss, utterance_grads(utt.features, [(1.0, result, cache)], weights, config)
+    return result.loss, utterance_grads(utt.features, result.dlogits, cache, weights, config)
 
 
 def token_error_rate(
@@ -191,7 +192,8 @@ def embr_phase(
 
     Runs for ``params.steps`` updates, defaulting to one tenth of the main
     training step count.  Batches are drawn by deterministic shuffling.
-    Raises DivergenceError as soon as a batch risk goes non-finite.
+    Raises DivergenceError as soon as a batch risk or, after an update, a
+    trainable tensor goes non-finite.
     """
     steps = params.steps
     if steps <= 0:
@@ -215,5 +217,9 @@ def embr_phase(
         if not np.isfinite(risk):
             raise DivergenceError(f"EMBR diverged (risk={risk}) at step {step} (lr={params.lr})")
         optimizer.step(tensors, grads)
+        bad = [name for name, t in tensors.items() if not np.isfinite(t).all()]
+        if bad:
+            raise DivergenceError(f"EMBR diverged (non-finite {', '.join(bad)}) after the update "
+                                  f"of step {step} (lr={params.lr})")
         step_risks.append(risk)
     return EmbrPhaseResult(weights, step_risks, 0, steps)

@@ -20,7 +20,7 @@ from rnntdec import (
     prediction_forward,
     save,
 )
-from rnntdec.backprop import backprop_decoder, forward_grid
+from rnntdec.backprop import backprop_decoder, forward_grid, forward_windows
 from rnntdec.errors import ConfigError
 from rnntdec.weights import check_config
 
@@ -57,6 +57,8 @@ ENTRY_POINTS = {
     "beam_decode": lambda w, cfg, _: beam_decode(FRAMES, w, cfg, 2),
     "convert_to_lookup": lambda w, cfg, _: convert_to_lookup(w, cfg),
     "forward_grid": lambda w, cfg, _: forward_grid(FRAMES, [0, 1], w, cfg),
+    "forward_windows": lambda w, cfg, _: forward_windows(
+        FRAMES, np.full((2, MODEL_CFG.history_len), MODEL_CFG.pad_id), w, cfg),
     "backprop_decoder": _backprop,
     "save": lambda w, cfg, tmp_path: save(w, cfg, str(tmp_path / "m.rnnt")),
 }

@@ -1,10 +1,12 @@
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rnntdec import cli, errors
 from rnntdec import greedy_decode, init_weights, load, load_lookup, read_archive, save, toy_encode
 from rnntdec.cli import _load_input_frames, main
 from rnntdec.weights import init_encoder_stub
@@ -60,6 +62,26 @@ def write_bytes(tmp_path, name, data):
 def assert_one_schema_line(err, path):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error[schema]: ") and path in lines[0]
+
+
+SCHEMA_DOC = Path(__file__).resolve().parents[1] / "docs" / "config_schema.md"
+
+
+def test_exit_code_table_matches_the_cli():
+    doc = SCHEMA_DOC.read_text().split("## Exit codes", 1)[1]
+    rows = dict(re.findall(r"^\| (\d+)\s+\| (.+?)\s*\|$", doc, re.M))
+    codes = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    assert {int(c) for c in rows} == codes
+    assert "other" in rows[str(cli.EXIT_ERROR)]
+    # each mapped error type names its row, e.g. DivergenceError the divergence row
+    for exc_type, code in cli._EXIT_CODES:
+        assert exc_type.__name__.removesuffix("Error").lower() in rows[str(code)].lower()
+    listed = set(re.findall(r"`(\w+)`", doc.split("category one of", 1)[1].split("\n\n")[0]))
+
+    def subclasses(cls):
+        return {c for sub in cls.__subclasses__() for c in {sub} | subclasses(sub)}
+
+    assert listed == {c.category for c in subclasses(errors.RnntError)}
 
 
 class TestParams:
@@ -260,12 +282,16 @@ class TestPipeline:
     def test_embr_divergence_exit_code(self, tmp_path, capsys):
         model = str(tmp_path / "m.rnnt")
         assert main(["train", write(tmp_path, "toy.json", TOY_CONFIG), model]) == 0
-        doc = dict(TOY_CONFIG, embr=dict(TOY_CONFIG["embr"], lr=1e300, grad_clip=0.0, steps=3))
-        capsys.readouterr()
-        assert main(["embr", write(tmp_path, "diverge.json", doc), model,
-                     str(tmp_path / "e.rnnt")]) == 5
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error[divergence]")
+        # steps=1: the divergence happens in the last update, after the last risk
+        for steps in (3, 1):
+            doc = dict(TOY_CONFIG, embr=dict(TOY_CONFIG["embr"], lr=1e300, grad_clip=0.0,
+                                             steps=steps))
+            capsys.readouterr()
+            out = tmp_path / f"e{steps}.rnnt"
+            assert main(["embr", write(tmp_path, "diverge.json", doc), model, str(out)]) == 5
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error[divergence]"), (steps, err)
+            assert not out.exists()
 
 
 class TestDecodeInputDtype:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -330,7 +332,7 @@ class TestLookup:
             cfg = tiny_config(variant, vocab_size=3, history_len=2)
             w = init_weights(cfg, seed=1)
             table = convert_to_lookup(w, cfg)
-            for ctx in table.contexts():
+            for ctx in itertools.product(range(cfg.vocab_ext), repeat=cfg.history_len):
                 direct = prediction_forward(np.array([ctx]), w, cfg)[0]
                 np.testing.assert_array_equal(table.table[table.index_of(ctx)], direct)
 
@@ -341,9 +343,10 @@ class TestLookup:
             convert_to_lookup(w, cfg, max_entries=1_000_000)
 
     def test_index_round_trip(self):
-        table = LookupTable(tiny_config(vocab_size=5, history_len=3), np.zeros((216, 2)))
+        cfg = tiny_config(vocab_size=5, history_len=3)
+        table = LookupTable(cfg, np.zeros((216, 2)))
         seen = set()
-        for ctx in table.contexts():
+        for ctx in itertools.product(range(cfg.vocab_ext), repeat=cfg.history_len):
             seen.add(table.index_of(ctx))
         assert seen == set(range(216))
 

@@ -12,9 +12,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rnntdec.backprop import backprop_decoder, forward_grid
-from rnntdec.embr import utterance_risk_grads
-from rnntdec.errors import StateError
+from rnntdec.backprop import backprop_decoder, forward_grid, target_windows
+from rnntdec.embr import _distinct_windows, utterance_risk, utterance_risk_grads
+from rnntdec.errors import DomainError, StateError
 from rnntdec.lattice import transducer_loss
 from rnntdec.toy import Utterance, frames_for
 from rnntdec.train import utterance_loss_grads
@@ -80,7 +80,11 @@ CASES = [
 # never did), and equal that older code with the sum started in float64; the
 # 16 lstm digests were re-recorded when the LSTM backward pass went lockstep
 # over all histories, which sums each weight gradient over the rows in one
-# product per step (the loss and risk values stayed bit-equal)
+# product per step (the loss and risk values stayed bit-equal); the 32 risk
+# digests were re-recorded when the risk path moved to one grid per n-best
+# list, summing the candidates' scaled dlogits before one backward pass
+# rather than the candidates' gradients after one pass each (the risk values
+# stayed bit-equal)
 GRAD_DIGESTS = {
     "loss-reduced-tied-f8-long": "27e130bb9f035236cbf5abc843571cda828805c4e39c242a38588b8402da59c9",
     "loss-reduced-tied-f8-toy": "2663d8693ae5f33b7193fd03e8cbf3a22d79ebea68e4292e6cbc46e08a139b4e",
@@ -114,38 +118,38 @@ GRAD_DIGESTS = {
     "loss-lstm-untied-f8-toy": "742d0f578c9e95689b7deff09cfec279cb9953e0e0ac2cd481f3a256197fd9a7",
     "loss-lstm-untied-f4-long": "0ff7ddfd98abf1686ae3b56f913b12426cdc4fc4b7b923088326a3f54e763ab3",
     "loss-lstm-untied-f4-toy": "db41b31d63b79c403bf4434f0a814b60ad66eb7cc7d4672a7431a6558a6d6514",
-    "risk-reduced-tied-f8-long": "e504cd4636a7ef4a8c6977bf70ff94d542d71ba0248f27e83895d56965410cd0",
-    "risk-reduced-tied-f8-toy": "738838f1cea818ce967cee7d4f784fc18408a3c6b5b4a7173946d785bcf8eb7f",
-    "risk-reduced-tied-f4-long": "20b5f25f5810a46c20ee3394c0e842a6f2ed5b279615bd9122b977155adb21a0",
-    "risk-reduced-tied-f4-toy": "b631d83b0c5370cd32ecf6a10e8bb7a3e6da6d836a8c9cc05009d8f5ad20d68c",
-    "risk-reduced-untied-f8-long": "e053da4b484ddf6804a64ca96093cafc0e2e714dad115ff039771d0a25e1777d",
-    "risk-reduced-untied-f8-toy": "836338696a7a3b60c0bc51f4ea3fdb97c3f69a58a63944f9f1ec64c00dc49469",
-    "risk-reduced-untied-f4-long": "cadcd8cb54a72aa048220ac5523f8e9fa27756a2a93441087203607f9830c335",
-    "risk-reduced-untied-f4-toy": "37e605c5754427b72cc2b93aed2cf7893d72f5f13f22af053035fd10f9c25320",
-    "risk-stateless1emb-tied-f8-long": "ce8cbcf543b89bb47d0ddfd88027c622986f43ef445f6648f0fb8dc071198adb",
-    "risk-stateless1emb-tied-f8-toy": "cada48147239448599e69d948bb9f98ae03f77217db7bbebca52ab1db6dfbee2",
-    "risk-stateless1emb-tied-f4-long": "3723936f8fd985e297612ea6f3534cac5ee81db0dec977ce1269dfad9a8e1cc7",
-    "risk-stateless1emb-tied-f4-toy": "c18e33dd3bc2b7182703e190a8967fdcfade60dfd115a98058b4a97aa6026a59",
-    "risk-stateless1emb-untied-f8-long": "8f8297d28645ec544dac9024eee624daacf40dcbb850ed81aec6773cfc27e05b",
-    "risk-stateless1emb-untied-f8-toy": "c890f13d843628f57fc4ebf25a49375239342ffdb14ae96687efee3b49ddbfc9",
-    "risk-stateless1emb-untied-f4-long": "aea285d17c77105f160b1b84db1807069ded3f01337b347ad1b439346c1cd8f1",
-    "risk-stateless1emb-untied-f4-toy": "e6d46f098aed99aac83e5743f6d622d9be8c4af53c04773fe6ce8362f299c126",
-    "risk-concat2emb-tied-f8-long": "eba6e2ec26e1849b09009895e32ca13e80c28d98c0fde15ed1edf56ec0c081d5",
-    "risk-concat2emb-tied-f8-toy": "c51baa49ef9e64c221db1d1ea5a33c8bd8099c605cf5406bfc91bd4848e08f8f",
-    "risk-concat2emb-tied-f4-long": "f4f638f678f05ff7c259ad79441c9e7285791a5caa5304c3747a67652c452338",
-    "risk-concat2emb-tied-f4-toy": "b3a63b5221af93732c0da218bb89b0352859419236d69feae81d5c9ab286ad17",
-    "risk-concat2emb-untied-f8-long": "bd815fc91eb51450c5e381eb74fb363bf6edb79bab0475a6b32fdd6834825446",
-    "risk-concat2emb-untied-f8-toy": "c97fa6090d81391316a63f85deb2db61974ca0e5b7e36ae3d8824ef20ed9960f",
-    "risk-concat2emb-untied-f4-long": "21c68f0c4d9b5bd8926f4a6eafc1a66efeb1d3024620c73f0acdebf3acf24955",
-    "risk-concat2emb-untied-f4-toy": "e18a912c00ee565996f07d767713d35f38d6b205a94f506ad0d64d1e31ac37e2",
-    "risk-lstm-tied-f8-long": "3e2afcc1e9f0f14a92c49211981403968fe541c650274a720ac24f43a4262d5e",
-    "risk-lstm-tied-f8-toy": "73bfc4de193295f76ec021d648a05637f9c4e7f4c6ea3b99b1a9d84fe28ecbaf",
-    "risk-lstm-tied-f4-long": "46a2428228c4bf43419ff4d883254816892d818bedb6a5920df700fd58e93ae4",
-    "risk-lstm-tied-f4-toy": "652c921e45cef6d9680da488af340c585eb67b941f07c12a2efc831a8f03ff73",
-    "risk-lstm-untied-f8-long": "136a266cef1191b8b08760c9859de40b92c60c9f15789ff8faf4128f3b77c4d8",
-    "risk-lstm-untied-f8-toy": "63f343acac5daabad6542605194a99d32294b3e592b87782b87e4a139ce9530e",
-    "risk-lstm-untied-f4-long": "59a7c413261157f71b865f4fbe601f28566d4d79e7dc0f9ecfb8e705d655fdcc",
-    "risk-lstm-untied-f4-toy": "d432eba35da4d107ed82133f3aa2fd1247b8a53d2fba2675264dafbea60a760c",
+    "risk-reduced-tied-f8-long": "64e69603a9c343caf890a4629aa15ff27bda24ec99b3cd16316aadeaedbe653f",
+    "risk-reduced-tied-f8-toy": "991a275eda4b3f170a8f7cf27d67be3dd4a357810d49bb0c11b171017f6b1339",
+    "risk-reduced-tied-f4-long": "40eb459c27ffec214e29ed55994b1987ef6b10bbfa041a7f74bf34727df2b107",
+    "risk-reduced-tied-f4-toy": "ddd63df7bf1ac8fd1baf93888a31305db8d0e05a2051cf06ab48b65856857faa",
+    "risk-reduced-untied-f8-long": "ed127850c658794eb7233336b16eb164fcf52e0cacd43aecdfda3c1f1634516f",
+    "risk-reduced-untied-f8-toy": "b29edb873d202d9fa052f5af61f44833f2e66eff41a94f59433f3c3fa0228add",
+    "risk-reduced-untied-f4-long": "92083b70fb96707dc238ede21e7218dcfeda9435c06e5bce331f74a8d4d02415",
+    "risk-reduced-untied-f4-toy": "ee9a907c8676c472f9334493b8cbff398ad5cd48a31069e93e1c451905c16f8a",
+    "risk-stateless1emb-tied-f8-long": "91677ba45cba836bcc3d734708dc6ecfd69e8612f1bf8ed21c4b99276c9b3aff",
+    "risk-stateless1emb-tied-f8-toy": "e29c9ffe13629ffc8d9f6e3d1a581a0e094081e11e6dcad531006a84310f4299",
+    "risk-stateless1emb-tied-f4-long": "ef4bc308c7f2385f23e858835f1f08afa691a538debb939381abd36c536c0cad",
+    "risk-stateless1emb-tied-f4-toy": "74ec56c3918b825762420ec7406caf8551d6139019b16a008a545c8f40a94dde",
+    "risk-stateless1emb-untied-f8-long": "22a78e0fe3a9b622335981a95684f804c0255e2d0a2eccb64a25871fef82ce9f",
+    "risk-stateless1emb-untied-f8-toy": "6f1e9616390ddf196341b45e7631ddeea79a68497b535843b45dc58c8000010d",
+    "risk-stateless1emb-untied-f4-long": "14b0d93d9205f007a7504ccfafc587a3babcc184d9695091756077ec1e7fe0c2",
+    "risk-stateless1emb-untied-f4-toy": "87c4f43c71f9495f9127590e89d609c9578b5809bf13bee284827de6a51ab95b",
+    "risk-concat2emb-tied-f8-long": "09b9594df614988217f1379d7bfbf47c652dae096bb70fbf793c5c726128dc3c",
+    "risk-concat2emb-tied-f8-toy": "404b58bd8d27f8492a973240fff3236eeb866d5eb678f5fb8c2d045345e76390",
+    "risk-concat2emb-tied-f4-long": "6fc6993375033bd7befb83f479317fdb86ce92dd756ae666bcedef9da6d03e6b",
+    "risk-concat2emb-tied-f4-toy": "549ba5ec0bff887b82c5e1c512ae243bb7122a32a5848854400b33313d866a8c",
+    "risk-concat2emb-untied-f8-long": "45d3ec8c69fa603dbd805bf0bf18f76fd729228e70cc174b69f137226b5415fe",
+    "risk-concat2emb-untied-f8-toy": "c9d8d96ea9baff21ef9d4c6d9c14647045e6ff5ae61d4156fb71449284dd456e",
+    "risk-concat2emb-untied-f4-long": "ab80eef9d6cda8a1f7e1f858d2d5d20ec0669f4c9e136800ddb4a12456e492a2",
+    "risk-concat2emb-untied-f4-toy": "142f63b0b38a552ef726d67e3df11aa76c20ee2cf851c50e5a84ad6fd342ccae",
+    "risk-lstm-tied-f8-long": "b4ab853a5843216afa9173702cfb795ce357ba2f24815a3873c3c2f3d6b6fda1",
+    "risk-lstm-tied-f8-toy": "ac7702a249937ac0dcf83f507f24c431429f4384043ada6a2dc945a075c0b09a",
+    "risk-lstm-tied-f4-long": "bd79fce395fde584457fe797a7016064246f161c226b3e473818f3cd15e48848",
+    "risk-lstm-tied-f4-toy": "525cf9db4bde2e6f0a98ecdae23e42377a3c813c902fab047029788046f3376a",
+    "risk-lstm-untied-f8-long": "2043bc8ac8ac654e61e884154ca3e6b10a50c4bbd28b912000fc90e237f55f29",
+    "risk-lstm-untied-f8-toy": "bfc7eec84543b4cb81f15f9316cce70a8f81f9b89e245556cc332b1944bfc5d8",
+    "risk-lstm-untied-f4-long": "d7a854c172499bed006650574d5e44d5ed5189736eade27990189ff859d2f3f3",
+    "risk-lstm-untied-f4-toy": "fa916b06217a73d3a54ef9ccc21baaf8e2c92aabe2353f71e59e94562b5d73e5",
 }
 
 
@@ -155,7 +159,8 @@ def test_gradients_match_recorded_digest(key):
 
 
 def test_gradient_peak_allocation_is_at_most_three_hidden_grids():
-    # the ``long`` training shape of configs/toy_reduced.json's decoder
+    # the ``long`` training shape of configs/toy_reduced.json's decoder, for
+    # the loss and for the risk of ``nbest_of``'s four candidates
     cfg = tiny_config("reduced", vocab_size=5, d_e=32, d_h=32, d_enc=32, num_heads=4, tied=True)
     w = init_weights(cfg, seed=0)
     w.enc_stub = init_encoder_stub(8, cfg.d_enc, 1)
@@ -163,16 +168,20 @@ def test_gradient_peak_allocation_is_at_most_three_hidden_grids():
     rng = np.random.default_rng(2)
     utt = Utterance(rng.normal(size=(T, 8)), rng.integers(0, cfg.vocab_size, size=U).tolist())
     hidden_grid = T * (U + 1) * cfg.d_h * 8
-    utterance_loss_grads(utt, w, cfg)  # warm up lazy imports and caches
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        utterance_loss_grads(utt, w, cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # 4.74 grids with one fresh temporary per elementwise step
-    assert peak <= 3 * hidden_grid, f"peak {peak / hidden_grid:.2f} hidden grids"
+    nbest = nbest_of(utt.labels, cfg.vocab_size)
+    # 4.74 grids for the loss with one fresh temporary per elementwise step;
+    # 6.61 for the risk with one grid per candidate
+    for name, grads in (("loss", lambda: utterance_loss_grads(utt, w, cfg)),
+                        ("risk", lambda: utterance_risk_grads(utt, nbest, w, cfg))):
+        grads()  # warm up lazy imports and caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * hidden_grid, f"{name}: peak {peak / hidden_grid:.2f} hidden grids"
 
 
 def test_a_cache_serves_one_backward_pass_and_logits_stay_untouched():
@@ -184,3 +193,21 @@ def test_a_cache_serves_one_backward_pass_and_logits_stay_untouched():
     np.testing.assert_array_equal(logits, before)
     with pytest.raises(StateError):
         backprop_decoder(result.dlogits, cache, w, cfg)
+
+
+def test_an_nbest_grid_holds_each_window_once():
+    cfg = tiny_config("reduced", vocab_size=5)  # history_len 2
+    # labels 1 1 1 meet the window (1, 1) twice
+    nbest = [(1, 1, 1), (1, 1), (2, 1, 1, 3)]
+    ids, cols = _distinct_windows(nbest, cfg)
+    assert len({tuple(row) for row in ids.tolist()}) == len(ids)
+    for labels, c in zip(nbest, cols):
+        np.testing.assert_array_equal(ids[c], target_windows(labels, cfg))
+    assert cols[0].tolist() == [0, 1, 2, 2]
+
+
+def test_an_empty_nbest_list_is_a_domain_error():
+    utt, w, cfg = grad_case("concat2emb", False, np.dtype("f8"), "toy")
+    for score in (utterance_risk, utterance_risk_grads):
+        with pytest.raises(DomainError, match="non-empty"):
+            score(utt, [], w, cfg)

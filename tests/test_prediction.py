@@ -179,6 +179,12 @@ class TestPredictionForward:
             prediction_forward(window(other, []), w, other)
 
     @pytest.mark.parametrize("variant", ["reduced", "stateless1emb", "concat2emb", "lstm"])
+    def test_no_windows_give_no_rows(self, variant):
+        cfg = tiny_config(variant)
+        ids = np.zeros((0, cfg.history_len), dtype=np.intp)
+        assert prediction_forward(ids, tiny_model(cfg), cfg).shape == (0, cfg.pn_out_dim)
+
+    @pytest.mark.parametrize("variant", ["reduced", "stateless1emb", "concat2emb", "lstm"])
     def test_training_grid_uses_the_decoder_forward(self, variant):
         # training must score exactly the prediction outputs decoding produces
         cfg = tiny_config(variant, tied=True)

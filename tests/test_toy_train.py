@@ -1,13 +1,15 @@
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from rnntdec import DecoderConfig, ToyTaskSpec, make_toy_dataset, toy_encode
-from rnntdec.embr import utterance_risk_grads
+from rnntdec.backprop import zero_grads
+from rnntdec.embr import EmbrParams, utterance_risk_grads
 from rnntdec.errors import ConfigError, DivergenceError, ShapeError
 from rnntdec.toy import Utterance
-from rnntdec.train import Hyperparams, train, utterance_loss_grads
+from rnntdec.train import Hyperparams, embr_phase, train, utterance_loss_grads
 from rnntdec.weights import EncoderStub, init_encoder_stub, init_weights, trainable_tensors
 
 from helpers import tiny_config
@@ -150,3 +152,17 @@ class TestEmbrStep:
         assert risk == 0.0
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
+
+    def test_update_to_non_finite_weights_raises_divergence(self, monkeypatch):
+        cfg = toy_decoder()
+        w = init_weights(cfg, seed=3)
+        w.enc_stub = init_encoder_stub(4, cfg.d_enc, 4)
+        grads = zero_grads(w)
+        grads["proj_b"][0] = np.inf
+        # the package exports the function ``train`` under the module's name
+        monkeypatch.setattr(importlib.import_module("rnntdec.train"), "embr_batch_grads",
+                            lambda *args: (0.5, grads))
+        utts = make_toy_dataset(small_task(), seed=2)[0][:1]
+        params = EmbrParams(beam_width=2, steps=1, batch_size=1, lr=0.5, grad_clip=0.0)
+        with pytest.raises(DivergenceError, match=r"non-finite proj_b\) after the update of step 0"):
+            embr_phase(w, cfg, utts, params)

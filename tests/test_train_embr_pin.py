@@ -5,7 +5,9 @@ once with the reference added to each n-best list.  The sha256 of every
 archive ``save`` writes and each step's mean risk (as a hex float) were
 recorded before the loss and risk gradients shared one backward chain and
 one batch mean; they pin the batch order and the order in which per-utterance
-gradients are summed and averaged.
+gradients are summed and averaged.  The EMBR archive and two step risks (by
+one unit in the last place) were re-recorded when the risk gradient moved to
+one grid per n-best list; the training archive did not change.
 """
 
 import hashlib
@@ -22,12 +24,12 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "toy_reduced.json"
 TRAIN_SHA256 = "02f79d16b7117bff16f3670ba8db4017c321bcd99b4af646c4d48d3dbd0e82f8"
 # After two epochs every reference is already in its 4-best list, so adding it
 # changes nothing and both runs give the same archive and risks.
-EMBR_SHA256 = "aade2bb63ea7e8edbe9d1c2c4ed630767528ed6fb42ddc9e7e3622cf9f51b148"
+EMBR_SHA256 = "3cb9ddcb48d592023fb0b156144c2ee81c1b0a084f072af72e41f89ed2f73a03"
 EMBR_STEP_RISKS = [
     "0x1.5885145d3a787p-2",
-    "0x1.ab54939cb4814p-5",
+    "0x1.ab54939cb4813p-5",
     "0x1.0d0dd288d9c45p-2",
-    "0x1.c56541ccaea92p-2",
+    "0x1.c56541ccaea93p-2",
 ]
 
 
