@@ -1,41 +1,35 @@
 """Hand-derived backpropagation through the joint and prediction networks.
 
-``forward_windows`` evaluates a T x W logits grid: every frame of one
-utterance against every row of a (W, N) matrix of history windows.  It
-sends the W windows through one batched call of the decoder's own
-``nets.prediction_forward``, asking it to keep the activations the
-backward pass needs; every row of a batch equals the single-history
-output, so training scores exactly the prediction outputs decoding
-produces.  ``forward_grid`` is its case for one target: the U+1 windows
-before each target position, the training grid.  ``backprop_decoder`` then
-runs the backward pass over all W windows at once, the LSTM's in lockstep.
-Gradients are returned as a flat name -> array dict keyed by the tensor
-table (``weights.tensor_specs``); tied models accumulate the output-layer
-gradient into the embedding gradient, and the pad embedding row's gradient
-is forced to zero.
+An optimizer step of training or EMBR is one ``step_grads`` call.  Each
+utterance of the batch brings its frames, a (W, N) matrix of history
+windows (most recent label first) and an objective that maps its
+(T, W, V+1) logits grid to its value and ``dlogits``: the transducer loss
+over its target's U+1 windows (``target_windows``), or the risk of an
+n-best list over the list's distinct windows.  The prediction network reads
+only the last N labels, so the windows of the whole batch run through one
+batched ``nets.prediction_forward`` call (the decoder's own, so training
+scores exactly what decoding produces) and one prediction backward pass at
+the end, the LSTM's in lockstep.  In between, each utterance builds its
+grid from its rows, runs its objective and back-propagates it into the
+step's one gradient set: a name -> array dict keyed by the tensor table,
+where tied models accumulate the output-layer gradient into ``emb`` and the
+pad embedding row's gradient is zero.  ``forward_windows`` (``forward_grid``
+for one target) and ``backprop_decoder`` are the same passes for one grid.
 
 Grid buffers of one utterance, each (T, W, width), every elementwise step
 done in place in one of them:
 
-- ``hidden`` (d_h): ``forward_windows`` adds, biases and tanhs it in one
-  buffer and keeps it in the ``ForwardCache``; ``backprop_decoder`` then
-  overwrites it with ``1 - hidden**2``, so a cache serves one backward pass.
-- ``logits`` (V+1): ``forward_windows``'s result (and, for f4 models, the
+- ``hidden`` (d_h): added, biased and tanh'd in one buffer, then
+  overwritten by the backward pass with ``1 - hidden**2``.
+- ``logits`` (V+1): the forward pass's result (and, for f4 models, the
   float64 copy ``transducer_loss`` takes).
 - ``lp`` (V+1): ``lattice.transducer_loss``'s log-probabilities; their
-  buffer becomes ``dlogits``.  ``log_softmax`` briefly holds one more V+1
-  grid for its ``exp``.
-- ``d_pre`` (d_h): ``backprop_decoder``'s ``dlogits @ out_full``, scaled in
-  place by the tanh derivative.
+  buffer becomes ``dlogits``.  ``log_softmax`` briefly holds one more.
+- ``d_pre`` (d_h): ``dlogits @ out_full``, scaled in place by the tanh
+  derivative.
 
-So at most two d_h-wide grids are live at once.
-
-Training and EMBR share one backward chain, ``utterance_grads``: one
-``backprop_decoder`` over an utterance's grid, chained into the encoder
-stub.  Training feeds it the transducer loss's ``dlogits`` over the target's
-grid, EMBR the risk's: each n-best hypothesis's ``dlogits`` over its own
-columns of one grid of the list's distinct windows, scaled by
--d(risk)/d(log P(h)) and summed.  ``batch_mean`` averages either.
+So at most two d_h-wide grids are live at once, and a step frees each
+utterance's grids before it builds the next one's.
 """
 
 from __future__ import annotations
@@ -68,41 +62,47 @@ def zero_grads(weights: ModelWeights) -> dict[str, np.ndarray]:
     excludes ``out_w`` for tied models, whose output gradient lands in
     ``emb``.
     """
-    return {
-        s.name: np.zeros_like(get_tensor(weights, s.name))
-        for s in specs_of(weights)
-        if s.alias is None
-    }
+    return {s.name: np.zeros_like(get_tensor(weights, s.name))
+            for s in specs_of(weights) if s.alias is None}
 
 
-def utterance_grads(features: np.ndarray, dlogits: np.ndarray, cache: ForwardCache,
-                    weights: ModelWeights, config: DecoderConfig):
-    """Gradient of one utterance's objective from its ``dlogits`` over the
-    grid ``cache`` came from, chained into the encoder stub (fed
-    ``features``) when the model has one.  Uses up the cache."""
-    grads, dframes = backprop_decoder(dlogits, cache, weights, config)
-    if weights.enc_stub is not None:
-        encode_backward(features, dframes, grads)
-    return grads
+def step_grads(items, weights: ModelWeights, config: DecoderConfig):
+    """Mean value and mean gradient over a non-empty batch of
+    ``(features, frames, ids, objective)`` items, one per utterance.
 
-
-def batch_mean(pairs, weights: ModelWeights):
-    """Mean value and mean gradient over (value, grads) pairs, summed into the
-    first pair's gradients; an empty batch gives 0.0 and zero gradients."""
-    total, grads, n = 0.0, None, 0
-    for value, pair_grads in pairs:
-        total += value
-        n += 1
-        if grads is None:
-            grads = pair_grads
-            continue
-        for name, g in pair_grads.items():
-            grads[name] += g
-    if grads is None:
-        return 0.0, zero_grads(weights)
+    ``objective(logits)`` maps the utterance's logits grid over the windows
+    ``ids`` to ``(value, dlogits)``; a None ``dlogits`` is a zero gradient
+    that still counts in the mean.  ``features`` feed the encoder stub.
+    """
+    cfg = check_config(weights, config)
+    grads = zero_grads(weights)
+    ids = np.concatenate([item[2] for item in items])
+    pn: list = []
+    g_stack = prediction_forward(ids, weights, cfg, pn)
+    G = g_stack @ weights.pred_w  # (sum of W, d_h)
+    dG = np.zeros(G.shape)
+    bounds = np.cumsum([0] + [len(item[2]) for item in items])
+    total = 0.0
+    for item, lo, hi in zip(items, bounds, bounds[1:]):
+        total += _utterance_step(item, G[lo:hi], dG[lo:hi], weights, cfg, grads)
+    _prediction_backward(dG, g_stack, ids, pn, weights, cfg, grads)
     for g in grads.values():
-        g /= n
-    return total / n, grads
+        g /= len(items)
+    return total / len(items), grads
+
+
+def _utterance_step(item, G, dG, weights, cfg, grads):
+    """One utterance's grid, in a scope of its own so that its grids are
+    freed before the next utterance's are built."""
+    features, frames, _, objective = item
+    logits, hidden = _grid_forward(frames, G, weights)
+    value, dlogits = objective(logits)
+    del logits
+    if dlogits is not None:
+        dG[...], dframes = _grid_backward(dlogits, hidden, frames, weights, cfg, grads)
+        if weights.enc_stub is not None:
+            encode_backward(features, dframes, grads)
+    return value
 
 
 def target_windows(target, config: DecoderConfig) -> np.ndarray:
@@ -122,8 +122,8 @@ def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: Deco
 
     Returns (logits (T, U+1, V+1), ForwardCache).
     """
-    config = check_config(weights, config)
-    return forward_windows(frames, target_windows(target, config), weights, config)
+    return forward_windows(frames, target_windows(target, check_config(weights, config)),
+                           weights, config)
 
 
 def forward_windows(frames: np.ndarray, ids: np.ndarray, weights: ModelWeights,
@@ -136,24 +136,24 @@ def forward_windows(frames: np.ndarray, ids: np.ndarray, weights: ModelWeights,
     config = check_config(weights, config)
     pn: list = []
     g_stack = prediction_forward(ids, weights, config, pn)
+    logits, hidden = _grid_forward(frames, g_stack @ weights.pred_w, weights)
+    return logits, ForwardCache(frames, ids, g_stack, pn, hidden)
 
+
+def _grid_forward(frames, G, weights):
+    """(logits, hidden) of every frame against every row of G = g @ pred_w."""
     F = frames @ weights.enc_w  # (T, d_h)
-    G = g_stack @ weights.pred_w  # (W, d_h)
     hidden = np.add(F[:, None, :], G[None, :, :])
     hidden += weights.joint_b
     np.tanh(hidden, out=hidden)
     out_full = np.concatenate([weights.out_w, weights.blank_w[None, :]], axis=0)
     logits = hidden @ out_full.T
     logits += weights.out_b
-    return logits, ForwardCache(frames, ids, g_stack, pn, hidden)
+    return logits, hidden
 
 
-def backprop_decoder(
-    dlogits: np.ndarray,
-    cache: ForwardCache,
-    weights: ModelWeights,
-    config: DecoderConfig,
-):
+def backprop_decoder(dlogits: np.ndarray, cache: ForwardCache, weights: ModelWeights,
+                     config: DecoderConfig):
     """Chain dloss/dlogits back to every tensor.
 
     Returns (grads, dframes): ``grads`` maps tensor names to gradients and
@@ -166,10 +166,17 @@ def backprop_decoder(
         raise StateError("backprop_decoder needs the cache from forward_grid")
     if cache.hidden is None:
         raise StateError("this forward cache was already used by a backward pass")
-    V = cfg.vocab_size
     grads = zero_grads(weights)
-
     hidden, cache.hidden = cache.hidden, None
+    dG, dframes = _grid_backward(dlogits, hidden, cache.frames, weights, cfg, grads)
+    _prediction_backward(dG, cache.g_stack, cache.ids, cache.pn, weights, cfg, grads)
+    return grads, dframes
+
+
+def _grid_backward(dlogits, hidden, frames, weights, cfg, grads):
+    """Accumulate one grid's output, joint and ``enc_w`` gradients; returns
+    the gradients w.r.t. G = g @ pred_w and the frames.  Uses up ``hidden``."""
+    V = cfg.vocab_size
     out_full = np.concatenate([weights.out_w, weights.blank_w[None, :]], axis=0)
     d_out_full = dlogits.reshape(-1, V + 1).T @ hidden.reshape(-1, cfg.d_h)
     grads["emb" if cfg.tied else "out_w"][:V] += d_out_full[:V]
@@ -183,30 +190,31 @@ def backprop_decoder(
     d_pre *= tanh_grad
     grads["joint_b"] += d_pre.sum(axis=(0, 1))
     dF = d_pre.sum(axis=1)  # (T, d_h)
-    grads["enc_w"] += cache.frames.T @ dF
-    dframes = dF @ weights.enc_w.T
-    dG = d_pre.sum(axis=0)  # (W, d_h)
-    grads["pred_w"] += cache.g_stack.T @ dG
-    dg_stack = dG @ weights.pred_w.T
+    grads["enc_w"] += frames.T @ dF
+    return d_pre.sum(axis=0), dF @ weights.enc_w.T
 
+
+def _prediction_backward(dG, g_stack, ids, pn, weights, cfg, grads):
+    """Chain dG (W, d_h) through ``pred_w`` and the prediction network of
+    the (W, N) windows ``ids``; ``pn`` is what ``prediction_forward`` kept."""
+    grads["pred_w"] += g_stack.T @ dG
+    dg_stack = dG @ weights.pred_w.T
     if cfg.variant == REDUCED:
-        _reduced_backward(dg_stack, cache, weights, cfg, grads)
+        _reduced_backward(dg_stack, ids, pn, weights, cfg, grads)
     elif cfg.variant == LSTM:
-        _lstm_backward(dg_stack, cache, weights, cfg, grads)
+        _lstm_backward(dg_stack, ids, pn, weights, cfg, grads)
     else:
         # the output is the history's embeddings, most recent first
-        np.add.at(grads["emb"], cache.ids, dg_stack.reshape(*cache.ids.shape, cfg.d_e))
-
+        np.add.at(grads["emb"], ids, dg_stack.reshape(*ids.shape, cfg.d_e))
     grads["emb"][cfg.pad_id] = 0.0
     if cfg.variant == REDUCED and not cfg.position_trainable:
         grads["positions"][:] = 0.0
-    return grads, dframes
 
 
-def _reduced_backward(dg, cache: ForwardCache, weights, cfg, grads):
+def _reduced_backward(dg, ids, pn, weights, cfg, grads):
     """All W windows at once; row w of each array belongs to window w."""
-    ((avg, z, y),) = cache.pn
-    E = weights.emb[cache.ids]  # (W, N, d_e)
+    ((avg, z, y),) = pn
+    E = weights.emb[ids]  # (W, N, d_e)
     # swish: g = y * sigmoid(y)
     sig = sigmoid(y)
     dy = dg * (sig * (1.0 + y * (1.0 - sig)))
@@ -229,10 +237,10 @@ def _reduced_backward(dg, cache: ForwardCache, weights, cfg, grads):
     dE = scale * wsum[:, :, None] * davg[:, None, :]  # via the E_n factor
     dE += np.einsum("un,hnd->und", dwsum, P)  # via the weights
     grads["positions"] += np.einsum("un,und->nd", dwsum, E)  # the same for every head
-    np.add.at(grads["emb"], cache.ids, dE)
+    np.add.at(grads["emb"], ids, dE)
 
 
-def _lstm_backward(dg, cache: ForwardCache, weights, cfg, grads):
+def _lstm_backward(dg, ids, pn, weights, cfg, grads):
     """All W windows at once, walking ``prediction_forward``'s steps in
     reverse.  A row's output gradient starts at the top layer and passes
     unchanged through the steps that row skips (its pads)."""
@@ -240,7 +248,7 @@ def _lstm_backward(dg, cache: ForwardCache, weights, cfg, grads):
     dh = [np.zeros((len(dg), cfg.lstm_proj)) for _ in layers]
     dc = [np.zeros((len(dg), cfg.lstm_units)) for _ in layers]
     dh[-1] += dg
-    for k, rows, cells in reversed(cache.pn):
+    for k, rows, cells in reversed(pn):
         dx = None
         for li in range(len(layers) - 1, -1, -1):
             x, h_prev, c_prev, i, f, g, o, tanh_c, h_cell = cells[li]
@@ -264,4 +272,4 @@ def _lstm_backward(dg, cache: ForwardCache, weights, cfg, grads):
             grads[f"lstm{li}_bias"] += dz.sum(axis=0)
             dx = dz @ layer.w_x.T
             dh[li][rows] = dz @ layer.w_h.T
-        np.add.at(grads["emb"], cache.ids[rows, k], dx)
+        np.add.at(grads["emb"], ids[rows, k], dx)

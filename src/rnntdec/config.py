@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -128,9 +128,6 @@ class DecoderConfig(DictCodec):
         if self.variant == LSTM:
             return self.lstm_proj
         return self.d_e
-
-    def with_tied(self, tied: bool) -> "DecoderConfig":
-        return replace(self, tied=tied)
 
 
 def _preset_lstm() -> DecoderConfig:

@@ -4,13 +4,12 @@ Risk is the expected edit distance of the n-best hypotheses against the
 reference under the softmax posterior of their log-probs.  Hypothesis
 log-probs are exact alignment marginals (log P(h) = -loss(h)).  The
 decoder sees only the last N labels, so the hypotheses share most of their
-history windows: each utterance gets one grid (``backprop.forward_windows``)
-over the distinct windows of its whole list, and each hypothesis's lattice
-reads its own columns of it.  The risk gradient scales each hypothesis's
-``dlogits`` by -d(risk)/d(log P(h)), sums them into the grid's columns and
-runs one backward pass, training's ``backprop.utterance_grads``; batches
-average through the same ``backprop.batch_mean``.  Each utterance is
-encoded once, for its beam search and its rescoring.
+history windows: each utterance's grid covers the distinct windows of its
+whole list, and each hypothesis's lattice reads its own columns of it.  The
+risk's ``dlogits`` sum each hypothesis's, scaled by -d(risk)/d(log P(h)).
+An EMBR step decodes its whole batch first (the weights are fixed within a
+step), then runs training's ``backprop.step_grads`` over it.  Each
+utterance is encoded once, for its beam search and its rescoring.
 """
 
 from __future__ import annotations
@@ -19,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backprop import (
-    batch_mean, forward_grid, forward_windows, target_windows, utterance_grads, zero_grads,
-)
+from .backprop import forward_grid, forward_windows, step_grads, target_windows
 from .config import DecoderConfig, DictCodec
 from .decoding import Hypothesis, beam_decode
 from .errors import DomainError
@@ -128,65 +125,58 @@ def _distinct_windows(nbest_labels, config: DecoderConfig):
     return ids, cols
 
 
-def _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale):
-    """Rescore every candidate exactly over one grid of the list's distinct
-    history windows, and take the risk of the list.
-
-    Returns (cache, scored, RiskResult): ``cache`` is the grid's
-    ForwardCache and ``scored[i]`` candidate i's (columns, LossResult).
-    """
-    config = check_config(weights, config)
-    ids, cols = _distinct_windows(nbest_labels, config)
-    logits, cache = forward_windows(frames, ids, weights, config)
-    scored = [(c, transducer_loss(logits[:, c], labels)) for c, labels in zip(cols, nbest_labels)]
-    entries = [Hypothesis(labels, -res.loss) for labels, (_, res) in zip(nbest_labels, scored)]
-    return cache, scored, embr_risk(NBestList(entries, tuple(utt.labels)), posterior_scale)
+def _nbest_scores(logits, cols, nbest_labels, reference, posterior_scale):
+    """Each candidate's LossResult over its own columns of the grid
+    ``logits``, and the RiskResult of the list."""
+    scored = [transducer_loss(logits[:, c], labels) for c, labels in zip(cols, nbest_labels)]
+    entries = [Hypothesis(labels, -res.loss) for labels, res in zip(nbest_labels, scored)]
+    return scored, embr_risk(NBestList(entries, tuple(reference)), posterior_scale)
 
 
-def _risk_grads(utt, frames, nbest_labels, weights, config, posterior_scale):
-    cache, scored, result = _score_nbest(
-        utt, frames, nbest_labels, weights, config, posterior_scale)
-    if not result.dlog_prob.any():
-        return result.risk, zero_grads(weights)
-    # d(risk)/d(logits_h) = dlp * d(log P)/d(logits) = -dlp * dloss/dlogits,
-    # summed into the grid's columns; np.add.at because a candidate can
-    # meet one window at several positions
-    dlogits = np.zeros(cache.hidden.shape[:2] + (config.vocab_size + 1,))
-    for dlp, (cols, res) in zip(result.dlog_prob, scored):
-        if dlp:
-            res.dlogits *= -dlp
-            np.add.at(dlogits, (slice(None), cols), res.dlogits)
-    del scored, res  # the backward pass holds no candidate's gradient
-    return result.risk, utterance_grads(utt.features, dlogits, cache, weights, config)
+def _risk_item(utt, frames, nbest_labels, weights, config, posterior_scale):
+    """``step_grads``'s item for the risk of one n-best list, rescored
+    exactly over one grid of the list's distinct history windows."""
+    ids, cols = _distinct_windows(nbest_labels, check_config(weights, config))
+
+    def objective(logits):
+        scored, result = _nbest_scores(logits, cols, nbest_labels, utt.labels, posterior_scale)
+        if not result.dlog_prob.any():
+            return result.risk, None
+        # d(risk)/d(logits_h) = dlp * d(log P)/d(logits) = -dlp * dloss/dlogits,
+        # summed into the grid's columns; np.add.at because a candidate can
+        # meet one window at several positions
+        dlogits = np.zeros(logits.shape)
+        for dlp, c, res in zip(result.dlog_prob, cols, scored):
+            if dlp:
+                res.dlogits *= -dlp
+                np.add.at(dlogits, (slice(None), c), res.dlogits)
+        return result.risk, dlogits
+
+    return utt.features, frames, ids, objective
 
 
-def utterance_risk(
-    utt: Utterance,
-    nbest_labels: list[tuple[int, ...]],
-    weights: ModelWeights,
-    config: DecoderConfig,
-    posterior_scale: float = 1.0,
-) -> float:
+def _list_risk(utt, frames, nbest_labels, weights, config, posterior_scale) -> float:
+    ids, cols = _distinct_windows(nbest_labels, check_config(weights, config))
+    logits, _ = forward_windows(frames, ids, weights, config)
+    return _nbest_scores(logits, cols, nbest_labels, utt.labels, posterior_scale)[1].risk
+
+
+def utterance_risk(utt: Utterance, nbest_labels: list[tuple[int, ...]], weights: ModelWeights,
+                   config: DecoderConfig, posterior_scale: float = 1.0) -> float:
     """Risk of a fixed candidate set under the current weights (no gradient)."""
-    frames = frames_for(utt, weights)
-    return _score_nbest(utt, frames, nbest_labels, weights, config, posterior_scale)[2].risk
+    return _list_risk(utt, frames_for(utt, weights), nbest_labels, weights, config, posterior_scale)
 
 
-def utterance_risk_grads(
-    utt: Utterance,
-    nbest_labels: list[tuple[int, ...]],
-    weights: ModelWeights,
-    config: DecoderConfig,
-    posterior_scale: float = 1.0,
-):
+def utterance_risk_grads(utt: Utterance, nbest_labels: list[tuple[int, ...]],
+                         weights: ModelWeights, config: DecoderConfig, posterior_scale: float = 1.0):
     """Risk and its gradient for a fixed candidate set.
 
     Chains d(risk)/d(log_prob_h) through each hypothesis's lattice gradient
     (log P(h) = -loss(h)) into every trainable tensor, including the encoder
     stub when present.
     """
-    frames = frames_for(utt, weights)
-    return _risk_grads(utt, frames, nbest_labels, weights, config, posterior_scale)
+    item = _risk_item(utt, frames_for(utt, weights), nbest_labels, weights, config, posterior_scale)
+    return step_grads([item], weights, config)
 
 
 def _decoded(utts, weights, config, beam_width, add_reference=False):
@@ -203,14 +193,10 @@ def _decoded(utts, weights, config, beam_width, add_reference=False):
 def embr_batch_grads(
     batch: list[Utterance], weights: ModelWeights, config: DecoderConfig, params: EmbrParams
 ):
-    """Decode each utterance, compute risk gradients, average over the batch.
-
-    Returns (mean risk, grads).
-    """
+    """Decode every utterance, then take (mean risk, mean gradient) in one step."""
     decoded = _decoded(batch, weights, config, params.beam_width, params.add_reference)
-    return batch_mean(
-        (_risk_grads(*d, weights, config, params.posterior_scale) for d in decoded), weights
-    )
+    items = [_risk_item(*d, weights, config, params.posterior_scale) for d in decoded]
+    return step_grads(items, weights, config)
 
 
 def dev_risk(
@@ -222,5 +208,5 @@ def dev_risk(
     """Mean risk of each utterance's beam n-best list (evaluation only)."""
     total = 0.0
     for utt, frames, labels in _decoded(dev_set, weights, config, params.beam_width):
-        total += _score_nbest(utt, frames, labels, weights, config, params.posterior_scale)[2].risk
+        total += _list_risk(utt, frames, labels, weights, config, params.posterior_scale)
     return total / len(dev_set) if dev_set else 0.0

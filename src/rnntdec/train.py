@@ -1,12 +1,11 @@
 """Toy-scale training: SGD with momentum on the transducer loss, plus the
 EMBR fine-tuning phase that follows it.
 
-Both phases share one backward chain, ``backprop.utterance_grads``: one
-backward pass per utterance, over the target's grid for the loss and over
-the n-best list's shared grid for the risk; ``backprop.batch_mean``
-averages a batch of either.  Everything is
-single-threaded and deterministic given the hyperparameter seed.  Per-epoch
-metrics can be appended to a JSON-lines log.
+Every optimizer step of either phase is one ``backprop.step_grads`` call
+over the batch, with one gradient set: the loss's grid pairs each frame
+with the U+1 history windows of the target.  Everything is single-threaded
+and deterministic given the hyperparameter seed.  Per-epoch metrics can be
+appended to a JSON-lines log.
 """
 
 from __future__ import annotations
@@ -17,15 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backprop import batch_mean, utterance_grads
+from .backprop import step_grads, target_windows
 from .config import DecoderConfig, DictCodec
 from .decoding import greedy_decode
-from .embr import EmbrParams, edit_distance, embr_batch_grads, rescore_exact
+from .embr import EmbrParams, edit_distance, embr_batch_grads
 from .embr import dev_risk  # noqa: F401 (re-exported)
 from .errors import ConfigError, DivergenceError, DomainError
+from .lattice import transducer_loss
 from .rng import SeededRng
 from .toy import ToyTaskSpec, Utterance, frames_for, make_toy_dataset
-from .weights import ModelWeights, init_encoder_stub, init_weights, trainable_tensors
+from .weights import ModelWeights, check_config, init_encoder_stub, init_weights, trainable_tensors
 
 
 @dataclass
@@ -73,10 +73,19 @@ class SgdMomentum:
             w += v
 
 
+def _loss_item(utt: Utterance, weights: ModelWeights, config: DecoderConfig):
+    """``step_grads``'s item for the transducer loss of one utterance."""
+    def objective(logits):
+        result = transducer_loss(logits, utt.labels)
+        return result.loss, result.dlogits
+
+    windows = target_windows(utt.labels, check_config(weights, config))
+    return utt.features, frames_for(utt, weights), windows, objective
+
+
 def utterance_loss_grads(utt: Utterance, weights: ModelWeights, config: DecoderConfig):
     """Transducer loss and gradients for one utterance (features or frames)."""
-    _, result, cache = rescore_exact(frames_for(utt, weights), utt.labels, weights, config)
-    return result.loss, utterance_grads(utt.features, result.dlogits, cache, weights, config)
+    return step_grads([_loss_item(utt, weights, config)], weights, config)
 
 
 def token_error_rate(
@@ -146,9 +155,8 @@ def train(
         for start in range(0, len(order), hp.batch_size):
             batch = [train_set[int(i)] for i in order[start : start + hp.batch_size]]
             try:
-                loss, grads = batch_mean(
-                    (utterance_loss_grads(utt, weights, config) for utt in batch), weights
-                )
+                loss, grads = step_grads(
+                    [_loss_item(utt, weights, config) for utt in batch], weights, config)
             except DomainError as e:
                 raise DivergenceError(
                     f"diverged (non-finite forward) at epoch {epoch}, step {steps}: {e}"

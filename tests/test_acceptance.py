@@ -9,6 +9,7 @@ whole module takes a few minutes.
 import itertools
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_criterion_04_tying_arithmetic():
         for variant in ("reduced", "stateless1emb", "concat2emb"):
             for d in (4, 6, 8):
                 tied = tiny_config(variant, tied=True, d_e=d, d_h=d)
-                untied = tied.with_tied(False)
+                untied = replace(tied, tied=False)
                 diff = param_count(untied)["total"] - param_count(tied)["total"]
                 assert diff == tied.d_h * tied.vocab_size
         small = preset("reduced_small")
@@ -290,7 +291,7 @@ def test_criterion_10_serialization(tmp_path):
                 np.testing.assert_array_equal(arr, trainable_tensors(loaded)[name])
             np.testing.assert_array_equal(w.emb, loaded.emb)
         tied_cfg = tiny_config("reduced", tied=True, vocab_size=50, d_e=6, d_h=6)
-        untied_cfg = tied_cfg.with_tied(False)
+        untied_cfg = replace(tied_cfg, tied=False)
         tied_path = str(tmp_path / "tied.rnnt")
         untied_path = str(tmp_path / "untied.rnnt")
         save(init_weights(tied_cfg, seed=1), tied_cfg, tied_path)

@@ -20,7 +20,7 @@ from rnntdec import (
     prediction_forward,
     save,
 )
-from rnntdec.backprop import backprop_decoder, forward_grid, forward_windows
+from rnntdec.backprop import backprop_decoder, forward_grid, forward_windows, step_grads
 from rnntdec.errors import ConfigError
 from rnntdec.weights import check_config
 
@@ -60,6 +60,9 @@ ENTRY_POINTS = {
     "forward_windows": lambda w, cfg, _: forward_windows(
         FRAMES, np.full((2, MODEL_CFG.history_len), MODEL_CFG.pad_id), w, cfg),
     "backprop_decoder": _backprop,
+    "step_grads": lambda w, cfg, _: step_grads(
+        [(None, FRAMES, np.full((2, MODEL_CFG.history_len), MODEL_CFG.pad_id),
+          lambda logits: (0.0, None))], w, cfg),
     "save": lambda w, cfg, tmp_path: save(w, cfg, str(tmp_path / "m.rnnt")),
 }
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ class TestParamCount:
     def test_tying_saves_exactly_dh_times_vocab(self):
         for variant in ("reduced", "stateless1emb", "concat2emb"):
             tied = tiny_config(variant, tied=True, d_e=6, d_h=6)
-            untied = tied.with_tied(False)
+            untied = replace(tied, tied=False)
             saved = param_count(untied)["total"] - param_count(tied)["total"]
             assert saved == tied.d_h * tied.vocab_size == tied_savings(tied)
 

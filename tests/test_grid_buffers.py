@@ -1,9 +1,11 @@
-"""The training grid: bit pins of the loss and risk gradients, and a bound
-on the memory one utterance's gradient allocates.
+"""The training grid: bit pins of the loss and risk gradients, a step over
+several utterances against those utterances alone, and a bound on the
+memory a gradient allocates.
 
 The digests were recorded before ``forward_grid``, ``transducer_loss``,
 ``backprop_decoder`` and ``log_softmax`` built their grids in place; the
 in-place forms must perform the same IEEE operations in the same order.
+A step of one utterance is that utterance's gradient, bit for bit.
 """
 
 import hashlib
@@ -12,12 +14,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rnntdec.backprop import backprop_decoder, forward_grid, target_windows
-from rnntdec.embr import _distinct_windows, utterance_risk, utterance_risk_grads
+from rnntdec.backprop import backprop_decoder, forward_grid, step_grads, target_windows
+from rnntdec.embr import _distinct_windows, _risk_item, utterance_risk, utterance_risk_grads
 from rnntdec.errors import DomainError, StateError
 from rnntdec.lattice import transducer_loss
 from rnntdec.toy import Utterance, frames_for
-from rnntdec.train import utterance_loss_grads
+from rnntdec.train import _loss_item, utterance_loss_grads
 from rnntdec.weights import init_encoder_stub, init_weights
 
 from helpers import tiny_config
@@ -26,12 +28,18 @@ D_FEAT = 6
 # (frames, labels) of the two utterance shapes: the benchmark's ``long``
 # decode utterance (35 labels, 4 frames each) and a toy-sized one
 SHAPES = {"long": (140, 35), "toy": (12, 4)}
+VARIANTS = ("reduced", "stateless1emb", "concat2emb", "lstm")
 
 
-def grad_case(variant, tied, dtype, shape):
+def model_case(variant, tied, dtype):
     cfg = tiny_config(variant, tied=tied)
     w = init_weights(cfg, seed=11, dtype=dtype)
     w.enc_stub = init_encoder_stub(D_FEAT, cfg.d_enc, 12, dtype=dtype)
+    return w, cfg
+
+
+def grad_case(variant, tied, dtype, shape):
+    w, cfg = model_case(variant, tied, dtype)
     T, U = SHAPES[shape]
     rng = np.random.default_rng(13)
     labels = rng.integers(0, cfg.vocab_size, size=U).tolist()
@@ -68,7 +76,7 @@ def case_digest(key) -> str:
 CASES = [
     f"{kind}-{variant}-{tied}-{dtype}-{shape}"
     for kind in ("loss", "risk")
-    for variant in ("reduced", "stateless1emb", "concat2emb", "lstm")
+    for variant in VARIANTS
     for tied in ("tied", "untied")
     for dtype in ("f8", "f4")
     for shape in SHAPES
@@ -158,21 +166,97 @@ def test_gradients_match_recorded_digest(key):
     assert case_digest(key) == GRAD_DIGESTS[key]
 
 
+def loss_step(utts, w, cfg):
+    return step_grads([_loss_item(u, w, cfg) for u in utts], w, cfg)
+
+
+def risk_step(utts, lists, w, cfg):
+    items = [_risk_item(u, frames_for(u, w), nbest, w, cfg, 1.0) for u, nbest in zip(utts, lists)]
+    return step_grads(items, w, cfg)
+
+
+# (frames, labels) of a step's utterances: a training step takes all three,
+# an EMBR step the first two
+STEP_SHAPES = [(12, 4), (9, 3), (15, 5)]
+# the mean gradient sums the utterances in another order than a step, which
+# accumulates into one set in the model's dtype
+STEP_REL_TOL = {np.dtype("f8"): 1e-12, np.dtype("f4"): 8 * np.finfo(np.float32).eps}
+
+
+def step_case(variant, tied, dtype, n):
+    w, cfg = model_case(variant, tied, dtype)
+    rng = np.random.default_rng(14)
+    utts = [Utterance(rng.normal(size=(T, D_FEAT)).astype(dtype),
+                      rng.integers(0, cfg.vocab_size, size=U).tolist()) for T, U in STEP_SHAPES[:n]]
+    return utts, w, cfg
+
+
+def assert_step_is_the_mean(step, alone):
+    """A step's value is bit-equal to the mean of its utterances' values,
+    summed in order, and each gradient is within STEP_REL_TOL (relative to
+    the tensor's largest entry) of the mean of their gradients."""
+    value, grads = step
+    total = 0.0
+    for v, _ in alone:
+        total += v
+    assert value == total / len(alone)
+    for name, g in grads.items():
+        assert g.dtype == alone[0][1][name].dtype
+        mean = sum(a[name].astype(np.float64) for _, a in alone) / len(alone)
+        assert np.abs(g - mean).max() <= STEP_REL_TOL[g.dtype] * np.abs(mean).max(), name
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_training_step_is_the_mean_of_its_utterances(variant, tied, dtype):
+    utts, w, cfg = step_case(variant, tied, np.dtype(dtype), 3)
+    alone = [utterance_loss_grads(u, w, cfg) for u in utts]
+    assert_step_is_the_mean(loss_step(utts, w, cfg), alone)
+
+
+@pytest.mark.parametrize("dtype", ["f8", "f4"])
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "untied"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_embr_step_is_the_mean_of_its_utterances(variant, tied, dtype):
+    utts, w, cfg = step_case(variant, tied, np.dtype(dtype), 2)
+    lists = [nbest_of(u.labels, cfg.vocab_size) for u in utts]
+    alone = [utterance_risk_grads(u, nbest, w, cfg) for u, nbest in zip(utts, lists)]
+    assert_step_is_the_mean(risk_step(utts, lists, w, cfg), alone)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_utterance_with_zero_risk_gradient_counts_in_the_step_mean(variant):
+    utts, w, cfg = step_case(variant, True, np.dtype("f8"), 2)
+    # a list of the reference alone has risk 0 and a zero gradient
+    lists = [nbest_of(utts[0].labels, cfg.vocab_size), [tuple(utts[1].labels)]]
+    alone = [utterance_risk_grads(u, nbest, w, cfg) for u, nbest in zip(utts, lists)]
+    assert alone[1][0] == 0.0 and not any(g.any() for g in alone[1][1].values())
+    assert_step_is_the_mean(risk_step(utts, lists, w, cfg), alone)
+
+
 def test_gradient_peak_allocation_is_at_most_three_hidden_grids():
     # the ``long`` training shape of configs/toy_reduced.json's decoder, for
-    # the loss and for the risk of ``nbest_of``'s four candidates
+    # the loss and for the risk of ``nbest_of``'s four candidates, of one
+    # utterance and of a whole step
     cfg = tiny_config("reduced", vocab_size=5, d_e=32, d_h=32, d_enc=32, num_heads=4, tied=True)
     w = init_weights(cfg, seed=0)
     w.enc_stub = init_encoder_stub(8, cfg.d_enc, 1)
     T, U = SHAPES["long"]
     rng = np.random.default_rng(2)
-    utt = Utterance(rng.normal(size=(T, 8)), rng.integers(0, cfg.vocab_size, size=U).tolist())
+    utts = [Utterance(rng.normal(size=(T, 8)), rng.integers(0, cfg.vocab_size, size=U).tolist())
+            for _ in range(4)]
+    utt = utts[0]
     hidden_grid = T * (U + 1) * cfg.d_h * 8
     nbest = nbest_of(utt.labels, cfg.vocab_size)
+    lists = [nbest_of(u.labels, cfg.vocab_size) for u in utts[:2]]
     # 4.74 grids for the loss with one fresh temporary per elementwise step;
-    # 6.61 for the risk with one grid per candidate
+    # 6.61 for the risk with one grid per candidate; a step must free each
+    # utterance's grids before the next utterance builds its own
     for name, grads in (("loss", lambda: utterance_loss_grads(utt, w, cfg)),
-                        ("risk", lambda: utterance_risk_grads(utt, nbest, w, cfg))):
+                        ("risk", lambda: utterance_risk_grads(utt, nbest, w, cfg)),
+                        ("loss step of 4", lambda: loss_step(utts, w, cfg)),
+                        ("risk step of 2", lambda: risk_step(utts[:2], lists, w, cfg))):
         grads()  # warm up lazy imports and caches
         tracemalloc.start()
         try:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def test_one_hot_hidden_selects_embedding_column_when_tied():
 
 def test_tied_equals_untied_with_copied_output_rows():
     tied_cfg = tiny_config(tied=True)
-    untied_cfg = tied_cfg.with_tied(False)
+    untied_cfg = replace(tied_cfg, tied=False)
     tied = init_weights(tied_cfg, seed=8)
     untied = init_weights(untied_cfg, seed=8)
     untied.out_w[:] = tied.emb[: tied_cfg.vocab_size]

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ def test_two_saves_byte_identical(tmp_path):
 
 def test_tied_blob_smaller_by_exact_slot_count(tmp_path):
     tied_cfg = tiny_config(tied=True)
-    untied_cfg = tied_cfg.with_tied(False)
+    untied_cfg = replace(tied_cfg, tied=False)
     tied_path, untied_path = str(tmp_path / "t"), str(tmp_path / "u")
     save(init_weights(tied_cfg, seed=1), tied_cfg, tied_path)
     save(init_weights(untied_cfg, seed=1), untied_cfg, untied_path)
