@@ -2,28 +2,19 @@
 
 Both decoders are frame-synchronous: at each encoder frame a hypothesis may
 emit up to ``max_symbols_per_frame`` non-blank labels before a blank advances
-time.  Since the prediction network only sees the last ``history_len``
-labels, each decode caches its outputs in a dict from history window to
-prediction row (the dynamic form of the lookup-table conversion below).
-A window is the tuple of the last N labels, oldest first and padded with
-the pad id; the network takes windows reversed, as the rows of a
-recent-first id matrix.
-
-Within one frame the joint output also depends only on the history window,
-so beam search scores each (frame, window) pair once.  It expands its
-hypotheses in rounds, one batch per round.  Its prediction rows and its
-per-frame memo of log-prob rows are both dicts keyed by window, read through
-one helper, ``_rows``: the windows a dict lacks go through one batched call
-(the prediction network, or the joint plus a row-wise log-softmax) and are
-stored.  A round whose windows were all scored earlier in the frame makes no
-network call.  The next frontier is chosen from the (hypotheses x
-vocabulary) score matrix with ``np.partition``.  Candidates tied at the
-beam's last score are settled by label sequence, so the n-best list is the
-one a full sort by ``(-log_prob, labels)`` would give.
+time.  The prediction network only sees the last N = ``history_len`` labels,
+so each decode caches its outputs per history window: greedy by the window
+tuple, oldest label first, and beam search by the window's code
+(``window_code``, also the ``LookupTable`` index).  Beam search scores each
+(frame, window) pair once, in one batch per round, and ends a frame once no
+later round can change its beam, so its n-best lists stay those of all
+rounds, ranked by ``(-log_prob, labels)``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +22,7 @@ import numpy as np
 from .config import DecoderConfig
 from .errors import CapacityError, ConfigError, DomainError, ShapeError
 from .mathops import log_softmax, logaddexp
-from .nets import joint_forward, prediction_forward
+from .nets import joint_forward, joint_tanh, output_logits, prediction_forward, project_prediction
 from .weights import ModelWeights, check_config
 
 # windows per prediction call in ``convert_to_lookup``: a reduced batch holds
@@ -64,6 +55,13 @@ def _rows(table: dict, keys, compute) -> np.ndarray:
     if missing:
         table.update(zip(missing, compute(missing)))
     return np.array([table[k] for k in keys])
+
+
+def window_code(ids_recent_first, base: int) -> int:
+    """A history window's code: the base-(V+1) integer whose digits, most
+    significant first, are its recent-first ids.  Pushing label v maps code
+    c to ``v * (V+1)**(N-1) + c // (V+1)``."""
+    return functools.reduce(lambda code, i: code * base + int(i), ids_recent_first, 0)
 
 
 def _check_frames(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderConfig) -> DecoderConfig:
@@ -119,53 +117,66 @@ def beam_decode(
 ) -> list[Hypothesis]:
     """Time-synchronous beam search with label-sequence merging.
 
-    Each frame runs ``max_symbols_per_frame + 1`` expansion rounds over a
-    frontier of at most ``beam_width`` hypotheses.  A round reads its
-    frontier's log-prob rows through ``_rows`` from the frame's memo, a dict
-    from window to log-prob row that starts empty at every frame.  Windows
-    not yet scored at this frame go through one joint call and one row-wise
-    log-softmax, on prediction rows read through ``_rows`` from the decode's
-    own dict, so each (frame, window) pair is scored once.  Every frontier
-    hypothesis takes blank into the next frame's beam, where identical label
-    sequences merge by log-sum-exp of their alignment log-probs.  Except in
-    the last round, the extensions ``lp + logp[:, :V]`` form the next
-    frontier: the ``beam_width`` best by ``(-log_prob, labels)``, found with
-    ``np.partition`` at the B-th score, keeping every candidate tied at that
-    threshold and sorting only those.  Distinct frontier sequences have
-    distinct extensions, so a round's candidates never merge.
+    Each frame runs up to ``max_symbols_per_frame + 1`` rounds over a
+    frontier of at most B = ``beam_width`` (labels, log-prob, window code)
+    hypotheses.  A round scores the windows new to the frame in one joint
+    call, on ``f_t @ enc_w`` (once per frame) and cached ``g @ pred_w`` rows.
+    Each frontier hypothesis takes blank into the next beam, where equal
+    label sequences merge by log-sum-exp, and its extensions compete for the
+    next frontier, the B best by ``(-log_prob, labels)``.
+
+    The frame ends early once ``_frame_settled`` holds.  Let theta be the
+    B-th best merged value.  Every later contribution is a blank taken by a
+    descendant of a frontier hypothesis f: it is <= lp_f, as log-probs are
+    <= 0, and lands on a key extending f's labels.  A key receives at most
+    B contributions per frame, one per beam prefix, so it ends at most
+    log(B+1) above the largest of its value and those contributions.  So
+    the top B are final when (a) every frontier lp is more than that margin
+    (plus rounding at any finite magnitude) below theta, and (b) every key
+    within the margin of theta that a frontier hypothesis can reach keeps
+    its bits when the largest such lp is merged into it.  A NaN keeps the
+    frame going.  Skipped rounds score nothing, so a non-finite network
+    output that only they would meet goes unseen.
 
     Returns the n-best list sorted by descending log-prob.
     """
     config = _check_frames(enc_frames, weights, config)
     if beam_width < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam_width}")
-    blank = config.blank_id
-    last_round = config.max_symbols_per_frame
-    n = config.history_len
-    pad = (config.pad_id,) * n
-    pn: dict[tuple[int, ...], np.ndarray] = {}  # window -> prediction row
+    blank, last_round = config.blank_id, config.max_symbols_per_frame
+    n, base = config.history_len, config.vocab_ext
+    shift = base ** (n - 1)
+    pn: dict[int, np.ndarray] = {}  # window code -> prediction row @ pred_w
 
-    def predict(windows):
-        return prediction_forward(np.array(windows)[:, ::-1], weights, config)  # recent first
+    def project(window_codes):  # digit k of a code, most significant first, is the window's k-th id
+        ids = np.array([[c // base**k % base for k in range(n - 1, -1, -1)] for c in window_codes])
+        return project_prediction(prediction_forward(ids, weights, config), weights)
 
     beams: dict[tuple[int, ...], float] = {(): 0.0}
+    codes = {(): window_code((config.pad_id,) * n, base)}  # beam labels -> window code
     for f_t in enc_frames:
-        memo: dict[tuple[int, ...], np.ndarray] = {}  # window -> log-prob row at f_t
+        enc = f_t @ weights.enc_w
+        memo: dict[int, np.ndarray] = {}  # window code -> log-prob row at f_t
 
-        def score(windows):
-            return log_softmax(joint_forward(f_t, _rows(pn, windows, predict), weights, config))
+        def score(window_codes):
+            hidden = joint_tanh(enc, _rows(pn, window_codes, project), weights)
+            return log_softmax(output_logits(hidden, weights))
 
         next_beams: dict[tuple[int, ...], float] = {}
-        frontier = list(beams.items())
+        frontier = [(labels, lp, codes[labels]) for labels, lp in beams.items()]
+        codes = {}
         for round_idx in range(last_round + 1):
-            logp = _rows(memo, [(pad + labels)[-n:] for labels, _ in frontier], score)
-            for (labels, lp), blank_logp in zip(frontier, logp[:, blank].tolist()):
+            logp = _rows(memo, [code for _, _, code in frontier], score)
+            for (labels, lp, code), blank_logp in zip(frontier, logp[:, blank].tolist()):
                 blank_lp = lp + blank_logp
                 prev = next_beams.get(labels)
                 next_beams[labels] = blank_lp if prev is None else logaddexp(prev, blank_lp)
+                codes[labels] = code
             if round_idx < last_round:
-                lps = np.array([lp for _, lp in frontier])
-                frontier = _best_extensions(frontier, lps[:, None] + logp[:, :blank], beam_width)
+                lps = np.array([lp for _, lp, _ in frontier])
+                frontier = _best_extensions(frontier, lps[:, None] + logp[:, :blank], beam_width, shift)
+                if _frame_settled(next_beams, frontier, beam_width):
+                    break
         beams = _top_b(next_beams, beam_width)
 
     nbest = [Hypothesis(labels, float(lp)) for labels, lp in beams.items()]
@@ -179,29 +190,48 @@ def _top_b(d: dict[tuple[int, ...], float], beam_width: int) -> dict[tuple[int, 
     return dict(sorted(d.items(), key=lambda kv: (-kv[1], kv[0]))[:beam_width])
 
 
-def _best_extensions(frontier, scores: np.ndarray, beam_width: int):
-    """The ``beam_width`` best (labels + (v,), scores[i, v]) by (-score, labels).
-
-    ``scores`` is (len(frontier), V).  Every candidate at or above the B-th
-    largest score is kept, so ties at the threshold are settled by labels
-    exactly as a full sort would settle them.  NaN scores that leave no
-    candidate raise DomainError.
+def _best_extensions(frontier, scores: np.ndarray, beam_width: int, shift: int):
+    """The ``beam_width`` best (labels + (v,), scores[i, v], child code) by
+    (-score, labels), where ``scores`` is (len(frontier), V) and ``shift`` is
+    (V+1)**(N-1).  Every candidate at or above the B-th largest score is
+    kept, so ties at the threshold are settled by labels exactly as a full
+    sort would settle them.  NaN scores that leave no candidate raise
+    DomainError.
     """
     flat = scores.ravel()
     cut = flat.size - beam_width
+    idx = range(flat.size)
     if cut > 0:
-        idx = np.flatnonzero(flat >= np.partition(flat, cut)[cut])
-        if not idx.size:  # at least B scores are NaN, so none reaches the NaN threshold
+        idx = np.flatnonzero(flat >= np.partition(flat, cut)[cut]).tolist()
+        if not idx:  # at least B scores are NaN, so none reaches the NaN threshold
             raise DomainError("beam search met NaN extension scores (non-finite network output)")
-    else:
-        idx = np.arange(flat.size)
-    rows, cols = np.divmod(idx, scores.shape[1])
-    cands = [(frontier[i][0] + (v,), s)
-             for i, v, s in zip(rows.tolist(), cols.tolist(), flat[idx].tolist())]
+    width, values, cands = scores.shape[1], flat.tolist(), []
+    for i in idx:
+        row, v = divmod(i, width)
+        labels, _, code = frontier[row]
+        cands.append((labels + (v,), values[i], v * shift + code // (width + 1)))
     if len(cands) > beam_width:
         cands.sort(key=lambda c: (-c[1], c[0]))
         del cands[beam_width:]
     return cands
+
+
+def _frame_settled(next_beams: dict, frontier, beam_width: int) -> bool:
+    """Whether no later round can change the frame's top B (``beam_decode``)."""
+    if len(next_beams) < beam_width:
+        return False
+    theta = sorted(next_beams.values(), reverse=True)[beam_width - 1]
+    limit = theta - math.log1p(beam_width) - (beam_width + 2) * 2.0**-45 * (1.0 + 2.0 * abs(theta))
+    if not all(lp < limit for _, lp, _ in frontier):  # (a)
+        return False
+    reach = {labels: lp for labels, lp, _ in frontier}
+    lengths = {len(labels) for labels in reach}
+    for key, e in next_beams.items():  # (b), and a NaN value fails ``merged == e``
+        reaching = [reach[key[:k]] for k in lengths if key[:k] in reach] if e >= limit else None
+        merged = logaddexp(e, max(reaching)) if reaching else e
+        if merged != e or math.copysign(1.0, merged) != math.copysign(1.0, e):
+            return False
+    return True
 
 
 @dataclass
@@ -217,10 +247,7 @@ class LookupTable:
     table: np.ndarray  # ((V+1)^N, pn_out)
 
     def index_of(self, ids_recent_first) -> int:
-        idx = 0
-        for i in ids_recent_first:
-            idx = idx * self.config.vocab_ext + i
-        return idx
+        return window_code(ids_recent_first, self.config.vocab_ext)
 
 
 def convert_to_lookup(

@@ -44,28 +44,31 @@ class EmbrParams(DictCodec):
 
 
 def edit_distance(hyp, ref) -> int:
-    """Levenshtein distance between token sequences.
-
-    Tokens are whatever the vocabulary models; on the toy task each token is
-    one word, so this is word-level edit distance.
-    """
-    hyp = list(hyp)
+    """Levenshtein distance between sequences of hashable tokens (words, on
+    the toy task).  Bit-parallel (Myers 1999, in Hyyro's 2001 form), over
+    Python ints as bit vectors: bit i of ``pv`` / ``mv`` is set where
+    D[i+1] - D[i] is +1 / -1 in the DP column of ``hyp`` so far, and
+    ``dist`` is that column's last entry."""
     ref = list(ref)
-    if not hyp:
-        return len(ref)
     if not ref:
-        return len(hyp)
-    prev = list(range(len(ref) + 1))
-    for i, h in enumerate(hyp, start=1):
-        cur = [i] + [0] * len(ref)
-        for j, r in enumerate(ref, start=1):
-            cur[j] = min(
-                prev[j] + 1,  # deletion of h
-                cur[j - 1] + 1,  # insertion of r
-                prev[j - 1] + (h != r),  # substitution / match
-            )
-        prev = cur
-    return prev[-1]
+        return len(list(hyp))
+    peq: dict = {}  # token -> bits of the ref positions holding it
+    for i, r in enumerate(ref):
+        peq[r] = peq.get(r, 0) | 1 << i
+    mask, top = (1 << len(ref)) - 1, 1 << len(ref) - 1
+    pv, mv, dist = mask, 0, len(ref)
+    for h in hyp:
+        eq = peq.get(h, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv) & mask
+        mh = pv & xh
+        dist += (ph & top > 0) - (mh & top > 0)
+        ph = (ph << 1 | 1) & mask
+        mh = mh << 1 & mask
+        pv = mh | ~(xv | ph) & mask
+        mv = ph & xv
+    return dist
 
 
 @dataclass

@@ -140,9 +140,7 @@ def joint_hidden(
     """tanh(W_enc f_t + W_pred g_u + b): the joint's last hidden layer.
 
     ``g_u`` is one prediction output (d_pn,) or a batch (n, d_pn) that all
-    meet the same frame.  A batch goes through stacked vector-matrix
-    products rather than one matrix product, so every row equals the
-    single-vector result bit for bit.
+    meet the same frame.
     """
     if f_t.shape != (weights.enc_w.shape[0],):
         raise ShapeError(f"encoder frame {f_t.shape} != ({weights.enc_w.shape[0]},)")
@@ -150,11 +148,20 @@ def joint_hidden(
         raise ShapeError(
             f"prediction output {g_u.shape} != ([n,] {weights.pred_w.shape[0]})"
         )
+    return joint_tanh(f_t @ weights.enc_w, project_prediction(g_u, weights), weights)
+
+
+def project_prediction(g_u: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """W_pred g_u of one prediction output or of a batch (n, d_pn), as stacked
+    vector-matrix products, so every row is the single-vector result."""
     if g_u.ndim == 1:
-        pred = g_u @ weights.pred_w
-    else:
-        pred = np.matmul(g_u[:, None, :], weights.pred_w)[:, 0, :]
-    return np.tanh(f_t @ weights.enc_w + pred + weights.joint_b)
+        return g_u @ weights.pred_w
+    return np.matmul(g_u[:, None, :], weights.pred_w)[:, 0, :]
+
+
+def joint_tanh(enc_proj: np.ndarray, pred_proj: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """The joint's hidden layer from ``f_t @ enc_w`` and ``project_prediction``."""
+    return np.tanh(enc_proj + pred_proj + weights.joint_b)
 
 
 def output_logits(h: np.ndarray, weights: ModelWeights) -> np.ndarray:

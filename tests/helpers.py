@@ -155,6 +155,28 @@ def naive_lattice(log_probs: np.ndarray, target):
     return log_alpha, log_beta, dlogits
 
 
+def dp_edit_distance(hyp, ref) -> int:
+    """Levenshtein distance by the textbook dynamic program, one row of the
+    (len(hyp)+1) x (len(ref)+1) table at a time."""
+    hyp = list(hyp)
+    ref = list(ref)
+    if not hyp:
+        return len(ref)
+    if not ref:
+        return len(hyp)
+    prev = list(range(len(ref) + 1))
+    for i, h in enumerate(hyp, start=1):
+        cur = [i] + [0] * len(ref)
+        for j, r in enumerate(ref, start=1):
+            cur[j] = min(
+                prev[j] + 1,  # deletion of h
+                cur[j - 1] + 1,  # insertion of r
+                prev[j - 1] + (h != r),  # substitution / match
+            )
+        prev = cur
+    return prev[-1]
+
+
 def naive_beam_decode(frames, weights, config, beam_width) -> list[tuple[tuple[int, ...], float]]:
     """Beam search one hypothesis and one vocabulary label at a time.
 

@@ -184,23 +184,32 @@ def test_forward_grid_rejects_ids_outside_the_vocabulary():
 
 
 class ScoredPairs:
-    """Rebinds ``prediction_forward`` and ``joint_forward`` in one module to
-    record which (frame index, history window) pairs reach the joint.
+    """Rebinds ``prediction_forward`` and the joint in one module to record
+    which (frame index, history window) pairs reach the joint.
 
-    Windows are recovered from the prediction outputs the module computed,
-    so every distinct window must have given distinct output bytes."""
+    The naive search calls ``joint_forward(f_t, g)``; beam search calls
+    ``joint_tanh(f_t @ enc_w, project_prediction(g))``, so for it the frame
+    is recovered from its projection and the window through the projection
+    of its prediction output.  Every distinct window must have given
+    distinct output bytes."""
 
-    def __init__(self, monkeypatch, module, frames):
-        self.frames = {f.tobytes(): t for t, f in enumerate(frames)}
+    def __init__(self, monkeypatch, module, frames, weights=None):
+        projected = weights is not None
+        self.frames = {(f @ weights.enc_w if projected else f).tobytes(): t for t, f in enumerate(frames)}
         self.window_of = {}
         self.pairs = []
         self.call_frames = []  # the frame index of each joint call
-        pf, jf = module.prediction_forward, module.joint_forward
+        pf = module.prediction_forward
+        joint_name = "joint_tanh" if projected else "joint_forward"
+        jf = getattr(module, joint_name)
+
+        def note(rows, windows):
+            for window, row in zip(windows, rows):
+                assert self.window_of.setdefault(row.tobytes(), window) == window
 
         def prediction(history, *args, **kwargs):
             out = pf(history, *args, **kwargs)
-            for window, row in zip(map(tuple, history.tolist()), out):
-                assert self.window_of.setdefault(row.tobytes(), window) == window
+            note(out, map(tuple, history.tolist()))
             return out
 
         def joint(f_t, g_u, *args, **kwargs):
@@ -210,7 +219,16 @@ class ScoredPairs:
             return jf(f_t, g_u, *args, **kwargs)
 
         monkeypatch.setattr(module, "prediction_forward", prediction)
-        monkeypatch.setattr(module, "joint_forward", joint)
+        monkeypatch.setattr(module, joint_name, joint)
+        if projected:
+            proj = module.project_prediction
+
+            def projection(g, *args, **kwargs):
+                out = proj(g, *args, **kwargs)
+                note(out, [self.window_of[row.tobytes()] for row in g])
+                return out
+
+            monkeypatch.setattr(module, "project_prediction", projection)
 
 
 @pytest.mark.parametrize("key", ["reduced", "lstm"])
@@ -219,29 +237,39 @@ def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
     frames = SeededRng(6).normal((5, cfg.d_enc))
     naive = ScoredPairs(monkeypatch, helpers, frames)
     naive_beam_decode(frames, w, cfg, 3)
-    scored = ScoredPairs(monkeypatch, rnntdec.decoding, frames)
-    # every round but a frame's last ends by choosing the next frontier and
-    # the last ends the frame by pruning its beam; what follows the final
-    # prune is the n-best lookup
+    scored = ScoredPairs(monkeypatch, rnntdec.decoding, frames, w)
+    # a round ends by choosing the next frontier, and a frame by pruning its
+    # beam, either after its last round or once the exit rule holds ("exit")
     log = CallLog(monkeypatch, (rnntdec.decoding, "prediction_forward"),
-                  (rnntdec.decoding, "joint_forward"), (rnntdec.decoding, "_best_extensions"),
+                  (rnntdec.decoding, "joint_tanh"), (rnntdec.decoding, "_best_extensions"),
                   (rnntdec.decoding, "_top_b"))
+    settled = rnntdec.decoding._frame_settled
+
+    def settled_logged(*args):
+        done = settled(*args)
+        if done:
+            log.events.append("exit")
+        return done
+
+    monkeypatch.setattr(rnntdec.decoding, "_frame_settled", settled_logged)
     beam_decode(frames, w, cfg, 3)
-    ends = [i for i, name in enumerate(log.events) if name in ("_best_extensions", "_top_b")]
-    rounds_per_frame = cfg.max_symbols_per_frame + 1
-    assert len(ends) == len(frames) * rounds_per_frame
-    assert [log.events[i] == "_top_b" for i in ends] == [
-        r % rounds_per_frame == rounds_per_frame - 1 for r in range(len(ends))]
+    assert log.events.count("_top_b") == len(frames) and log.events[-1] == "_top_b"
     joint_frames = iter(scored.call_frames)
-    for r, (lo, hi) in enumerate(zip([-1] + ends, ends)):
-        calls = log.events[lo + 1:hi]
-        # a window the cache has not seen is not yet scored at this frame
-        # either, so a prediction call is always followed by a joint call
-        assert calls in ([], ["joint_forward"], ["prediction_forward", "joint_forward"])
-        if calls:
-            assert next(joint_frames) == r // rounds_per_frame
-    assert log.events[ends[-1] + 1:] == []  # the n-best lookup calls nothing
-    # each (frame, window) pair is scored once, and exactly the naive search's pairs are
+    frame_events = " ".join(log.events).split("_top_b")[:-1]
+    for t, events in enumerate(frame_events):
+        rounds = events.split("_best_extensions")
+        exited = rounds[-1].split() == ["exit"]
+        # a frame runs 1 to cap + 1 rounds, and all of them unless it exits
+        assert 1 <= len(rounds) - exited <= cfg.max_symbols_per_frame + 1
+        assert exited or len(rounds) == cfg.max_symbols_per_frame + 1
+        for calls in rounds[:len(rounds) - exited]:
+            # a window the cache has not seen is not yet scored at this frame
+            # either, so a prediction call is always followed by a joint call
+            assert calls.split() in ([], ["joint_tanh"], ["prediction_forward", "joint_tanh"])
+            if calls.split():
+                assert next(joint_frames) == t
+    assert next(joint_frames, None) is None
+    # each (frame, window) pair is scored once, and only pairs the naive search scores
     assert len(scored.pairs) == len(set(scored.pairs))
-    assert set(scored.pairs) == set(naive.pairs)
+    assert set(scored.pairs) <= set(naive.pairs)
     assert len(scored.pairs) < len(naive.pairs)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rnntdec.decoding
 from rnntdec import (
@@ -13,7 +15,7 @@ from rnntdec import (
     prediction_forward,
 )
 from rnntdec.bench import step_timer
-from rnntdec.decoding import LookupTable
+from rnntdec.decoding import LookupTable, _frame_settled
 from rnntdec.errors import CapacityError, ConfigError, DomainError, ShapeError
 from rnntdec.mathops import log_softmax
 from rnntdec.nets import joint_forward
@@ -289,8 +291,8 @@ class TestFrameMemo:
         # with V = 2-3 and N <= 2 a frame meets few windows in many rounds
         rng = np.random.default_rng(77)
         joint_calls = []
-        joint = rnntdec.decoding.joint_forward
-        monkeypatch.setattr(rnntdec.decoding, "joint_forward",
+        joint = rnntdec.decoding.joint_tanh  # the joint beam search calls
+        monkeypatch.setattr(rnntdec.decoding, "joint_tanh",
                             lambda *a: joint_calls.append(1) or joint(*a))
         rounds = 0
         for trial in range(24):
@@ -306,7 +308,7 @@ class TestFrameMemo:
                     f"trial {trial}: {variant} {np.dtype(dtype).name} B={width}"
                 )
                 rounds += len(frames) * (cfg.max_symbols_per_frame + 1)
-        assert 2 * len(joint_calls) < rounds
+        assert 0 < 2 * len(joint_calls) < rounds
 
     @pytest.mark.parametrize("T", [0, 1])
     def test_zero_and_one_frame(self, T):
@@ -318,6 +320,85 @@ class TestFrameMemo:
             for width in (1, 2, 5):
                 nbest = beam_decode(frames, w, cfg, width)
                 assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width)
+
+
+def settled_beams(monkeypatch):
+    """Wraps ``_frame_settled`` in ``beam_decode``'s module; returns the list
+    that receives the beam (``_top_b``) of every frame it ends early."""
+    ended = []
+    settled = rnntdec.decoding._frame_settled
+
+    def spy(next_beams, frontier, beam_width):
+        done = settled(next_beams, frontier, beam_width)
+        if done:
+            ended.append(rnntdec.decoding._top_b(next_beams, beam_width))
+        return done
+
+    monkeypatch.setattr(rnntdec.decoding, "_frame_settled", spy)
+    return ended
+
+
+class TestFrameExit:
+    """``beam_decode`` ends a frame once no later round can change its beam.
+    Random-init models rarely let that happen, so these models are peaked:
+    their output rows are scaled up, and ``==`` against the naive search,
+    which runs every round, checks that every early end was exact."""
+
+    as_pairs = staticmethod(TestBatchedBeam.as_pairs)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bit_identical_to_naive_beam_on_peaked_models(self, variant, dtype, monkeypatch):
+        ended = settled_beams(monkeypatch)
+        fired = []  # per decode: did some frame end early
+
+        @given(width=st.integers(1, 6), cap=st.integers(1, 10), vocab=st.integers(2, 5),
+               seed=st.integers(0, 2**16), scale=st.sampled_from([4.0, 12.0, 40.0]),
+               blank_bias=st.sampled_from([0.0, 10.0, 40.0]), T=st.integers(1, 5))
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        def check(width, cap, vocab, seed, scale, blank_bias, T):
+            cfg = tiny_config(variant, vocab_size=vocab, d_e=3, d_h=3, tied=bool(seed % 2),
+                              max_symbols_per_frame=cap, **({"lstm_proj": 3} if variant == "lstm" else {}))
+            w = init_weights(cfg, seed=seed, dtype=dtype)
+            w.out_w *= scale  # the embedding too, when tied
+            w.blank_w *= scale
+            w.out_b[cfg.blank_id] += blank_bias  # a large bias makes some blank log-probs exactly 0.0
+            frames = (3.0 * SeededRng(seed).normal((T, cfg.d_enc))).astype(dtype)
+            before = len(ended)
+            nbest = beam_decode(frames, w, cfg, width)
+            assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width)
+            fired.append(len(ended) > before)
+
+        check()
+        assert sum(fired) >= len(fired) // 4
+        # early ends met beams related by prefix ("ab" and "abc") and keys at exactly 0.0
+        assert any(a != b and b[:len(a)] == a for beam in ended for a in beam if a for b in beam)
+        assert any(lp == 0.0 for beam in ended for lp in beam.values())
+
+    def test_reachable_key_near_theta_must_keep_its_bits(self):
+        # B = 2, so theta is -2.0, and key (0,) can still receive blanks from
+        # descendants of the frontier hypothesis (0,) ...
+        beams = {(): -1e-3, (0,): -2.0, (1,): -40.0}
+        assert not _frame_settled(beams, [((0,), -10.0, 0)], 2)  # ... which move its bits
+        assert _frame_settled(beams, [((0,), -100.0, 0)], 2)  # ... which leave them as they are
+        assert _frame_settled(beams, [((1,), -10.0, 0)], 2)  # (1,) reaches only keys far below theta
+        assert not _frame_settled(beams, [((1,), -2.5, 0)], 2)  # a new key could still enter
+        assert not _frame_settled(beams, [((1,), -100.0, 0)], 4)  # fewer keys than B
+
+    def test_signed_zero_key_must_keep_its_sign(self):
+        # merging a probability that rounds to nothing keeps +0.0 as it is
+        # but turns -0.0 into +0.0, although the two compare equal
+        frontier = [((0,), -800.0, 0)]
+        assert _frame_settled({(): -50.0, (0,): 0.0}, frontier, 1)
+        assert not _frame_settled({(): -50.0, (0,): -0.0}, frontier, 1)
+
+    def test_nan_merged_value_keeps_the_frame_going(self):
+        frontier = [((0, 0, 0), -90.0, 0), ((1, 0, 0), -95.0, 0)]
+        beams = {(): -1e-3, (0,): -30.0, (1,): -31.0, (0, 0): -60.0}
+        assert _frame_settled(beams, frontier, 2)
+        for key in [*beams, (1, 1)]:  # NaN at any rank, or on a key of its own
+            assert not _frame_settled({**beams, key: np.nan}, frontier, 2)
+        assert not _frame_settled(beams, frontier + [((1, 1, 1), np.nan, 0)], 2)
 
 
 class TestLookup:

@@ -13,9 +13,12 @@ from rnntdec.toy import Utterance
 from rnntdec.train import embr_phase
 from rnntdec.weights import init_encoder_stub, init_weights, trainable_tensors
 
-from helpers import assert_grads_close, fd_gradients, pad_row_mask, tiny_config
+from helpers import assert_grads_close, dp_edit_distance, fd_gradients, pad_row_mask, tiny_config
 
 short_seqs = st.lists(st.integers(0, 3), max_size=6)
+# string tokens from small alphabets, so long sequences still share tokens
+word_seqs = st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.sampled_from(["a", "b", "cc", "", "é", "a b"][:k]), max_size=200))
 
 
 class TestEditDistance:
@@ -47,6 +50,25 @@ class TestEditDistance:
     def test_bounds(self, a, b):
         d = edit_distance(a, b)
         assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+
+
+class TestBitParallelEditDistance:
+    """``edit_distance`` runs on bit vectors; the textbook dynamic program in
+    ``helpers`` is its oracle."""
+
+    @given(word_seqs, word_seqs)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dynamic_program(self, hyp, ref):
+        assert edit_distance(hyp, ref) == dp_edit_distance(hyp, ref)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+    def test_empty_and_word_boundary_lengths(self, n):
+        rng = np.random.default_rng(n)
+        a = [str(t) for t in rng.integers(0, 3, n)]
+        b = [str(t) for t in rng.integers(0, 3, n // 2 + 1)]
+        for hyp, ref in ((a, []), ([], a), (a, a), (a, b), (b, a), (a, a[::-1])):
+            assert edit_distance(hyp, ref) == dp_edit_distance(hyp, ref)
+        assert edit_distance(iter(a), tuple(b)) == dp_edit_distance(a, b)
 
 
 def two_entry_list():
