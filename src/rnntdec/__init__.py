@@ -18,6 +18,7 @@ from .decoding import (
     Hypothesis,
     LookupTable,
     beam_decode,
+    beam_decode_batch,
     convert_to_lookup,
     greedy_decode,
 )

@@ -3,12 +3,13 @@
 Both decoders are frame-synchronous: at each encoder frame a hypothesis may
 emit up to ``max_symbols_per_frame`` non-blank labels before a blank advances
 time.  The prediction network only sees the last N = ``history_len`` labels,
-so each decode caches its outputs per history window: greedy by the window
-tuple, oldest label first, and beam search by the window's code
-(``window_code``, also the ``LookupTable`` index).  Beam search scores each
-(frame, window) pair once, in one batch per round, and ends a frame once no
+so its outputs are cached per window: greedy's by the window tuple, beam
+search's by the window's code (``window_code``, the ``LookupTable`` index).
+Beam search scores each (frame, window) pair once and ends a frame once no
 later round can change its beam, so its n-best lists stay those of all
-rounds, ranked by ``(-log_prob, labels)``.
+rounds.  ``beam_decode_batch`` runs a batch's searches in lockstep, a tick
+being one prediction call into a shared cache and one joint call over all
+their new windows; stacked rows equal rows computed alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -64,12 +65,12 @@ def window_code(ids_recent_first, base: int) -> int:
     return functools.reduce(lambda code, i: code * base + int(i), ids_recent_first, 0)
 
 
-def _check_frames(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderConfig) -> DecoderConfig:
-    """The model's config (``check_config``), once the frames fit it."""
-    config = check_config(weights, config)
-    d_enc = weights.enc_w.shape[0]
-    if enc_frames.ndim != 2 or enc_frames.shape[1] != d_enc:
-        raise ShapeError(f"encoder frames {enc_frames.shape} != (T, {d_enc})")
+def _check_frames(batch, weights: ModelWeights, config: DecoderConfig) -> DecoderConfig:
+    """The model's config (``check_config``), once all frames fit it and share one dtype."""
+    config, d_enc = check_config(weights, config), weights.enc_w.shape[0]
+    for i, f in enumerate(batch):
+        if f.ndim != 2 or f.shape[1] != d_enc or f.dtype != batch[0].dtype:
+            raise ShapeError(f"utterance {i}: {f.dtype} {f.shape} != {batch[0].dtype} (T, {d_enc})")
     return config
 
 
@@ -82,7 +83,7 @@ def greedy_decode(
     network and stays on the frame; blank (or hitting the per-frame symbol
     cap) advances to the next frame.  Blanks never appear in the output.
     """
-    config = _check_frames(enc_frames, weights, config)
+    config = _check_frames([enc_frames], weights, config)
     pn: dict[tuple[int, ...], np.ndarray] = {}  # window -> prediction row
     window = (config.pad_id,) * config.history_len  # oldest label first
     g = prediction_forward(np.array([window]), weights, config)[0]
@@ -109,21 +110,60 @@ def greedy_decode(
     return GreedyResult(labels, log_prob)
 
 
-def beam_decode(
-    enc_frames: np.ndarray,
-    weights: ModelWeights,
-    config: DecoderConfig,
-    beam_width: int,
-) -> list[Hypothesis]:
-    """Time-synchronous beam search with label-sequence merging.
+def beam_decode(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderConfig,
+                beam_width: int) -> list[Hypothesis]:
+    """Time-synchronous beam search with label-sequence merging (``_search``):
+    ``beam_decode_batch`` of one.  Returns the n-best list, best first."""
+    return beam_decode_batch([enc_frames], weights, config, beam_width)[0]
 
-    Each frame runs up to ``max_symbols_per_frame + 1`` rounds over a
-    frontier of at most B = ``beam_width`` (labels, log-prob, window code)
-    hypotheses.  A round scores the windows new to the frame in one joint
-    call, on ``f_t @ enc_w`` (once per frame) and cached ``g @ pred_w`` rows.
-    Each frontier hypothesis takes blank into the next beam, where equal
-    label sequences merge by log-sum-exp, and its extensions compete for the
-    next frontier, the B best by ``(-log_prob, labels)``.
+
+def beam_decode_batch(frames_list: list[np.ndarray], weights: ModelWeights, config: DecoderConfig,
+                      beam_width: int) -> list[list[Hypothesis]]:
+    """Each utterance's ``beam_decode``, all searches in lockstep.  A tick serves
+    every search waiting for windows new to its frame: one ``_rows`` call into
+    the batch's prediction cache, then one joint call over the stacked rows,
+    each on its ``f_t @ enc_w`` (1-D when one search waits).  An f4 row stacked
+    with f8 rows would be computed in f8, so frames must share one dtype: a
+    wrong shape or dtype raises ShapeError naming the utterance, up front."""
+    config = _check_frames(frames_list, weights, config)
+    if beam_width < 1:
+        raise ConfigError(f"beam width must be >= 1, got {beam_width}")
+    n, base = config.history_len, config.vocab_ext
+    pn: dict[int, np.ndarray] = {}  # window code -> prediction row @ pred_w
+
+    def project(window_codes):  # digit k of a code, most significant first, is the window's k-th id
+        ids = np.array([[c // base**k % base for k in range(n - 1, -1, -1)] for c in window_codes])
+        return project_prediction(prediction_forward(ids, weights, config), weights)
+
+    nbests, logp = [None] * len(frames_list), None  # logp: the last tick's rows
+    asks = [(i, _search(f, weights, config, beam_width), None, ()) for i, f in enumerate(frames_list)]
+    while asks:  # an ask: (utterance, search, f_t @ enc_w, window codes)
+        waiting, asks, lo = asks, [], 0
+        for i, search, _, window_codes in waiting:
+            try:
+                asks.append((i, search, *search.send(logp[lo:] if lo else logp)))
+            except StopIteration as done:
+                nbests[i] = done.value
+            lo += len(window_codes)
+        if not asks:
+            break
+        _, _, enc, codes = asks[0]
+        if len(asks) > 1:
+            codes = [code for ask in asks for code in ask[3]]
+            enc = np.repeat([ask[2] for ask in asks], [len(ask[3]) for ask in asks], axis=0)
+        logp = log_softmax(output_logits(joint_tanh(enc, _rows(pn, codes, project), weights), weights))
+    return nbests
+
+
+def _search(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderConfig, beam_width: int):
+    """One utterance's beam search as a generator: a round that meets windows
+    new to its frame yields ``(f_t @ enc_w, their codes)`` and is sent log-prob
+    rows, theirs first.  Returns the n-best list.  Each frame runs up to
+    ``max_symbols_per_frame + 1`` rounds over a frontier of at most B =
+    ``beam_width`` (labels, log-prob, window code) hypotheses.  Each takes
+    blank into the next beam, where equal label sequences merge by
+    log-sum-exp, and its extensions compete for the next frontier, the B
+    best by ``(-log_prob, labels)``.
 
     The frame ends early once ``_frame_settled`` holds.  Let theta be the
     B-th best merged value.  Every later contribution is a blank taken by a
@@ -137,36 +177,24 @@ def beam_decode(
     its bits when the largest such lp is merged into it.  A NaN keeps the
     frame going.  Skipped rounds score nothing, so a non-finite network
     output that only they would meet goes unseen.
-
-    Returns the n-best list sorted by descending log-prob.
     """
-    config = _check_frames(enc_frames, weights, config)
-    if beam_width < 1:
-        raise ConfigError(f"beam width must be >= 1, got {beam_width}")
     blank, last_round = config.blank_id, config.max_symbols_per_frame
     n, base = config.history_len, config.vocab_ext
     shift = base ** (n - 1)
-    pn: dict[int, np.ndarray] = {}  # window code -> prediction row @ pred_w
-
-    def project(window_codes):  # digit k of a code, most significant first, is the window's k-th id
-        ids = np.array([[c // base**k % base for k in range(n - 1, -1, -1)] for c in window_codes])
-        return project_prediction(prediction_forward(ids, weights, config), weights)
-
     beams: dict[tuple[int, ...], float] = {(): 0.0}
     codes = {(): window_code((config.pad_id,) * n, base)}  # beam labels -> window code
     for f_t in enc_frames:
         enc = f_t @ weights.enc_w
         memo: dict[int, np.ndarray] = {}  # window code -> log-prob row at f_t
-
-        def score(window_codes):
-            hidden = joint_tanh(enc, _rows(pn, window_codes, project), weights)
-            return log_softmax(output_logits(hidden, weights))
-
         next_beams: dict[tuple[int, ...], float] = {}
         frontier = [(labels, lp, codes[labels]) for labels, lp in beams.items()]
         codes = {}
         for round_idx in range(last_round + 1):
-            logp = _rows(memo, [code for _, _, code in frontier], score)
+            wanted = [code for _, _, code in frontier]
+            missing = [code for code in dict.fromkeys(wanted) if code not in memo]
+            if missing:
+                memo.update(zip(missing, (yield enc, missing)))
+            logp = np.array([memo[code] for code in wanted])
             for (labels, lp, code), blank_logp in zip(frontier, logp[:, blank].tolist()):
                 blank_lp = lp + blank_logp
                 prev = next_beams.get(labels)
@@ -178,7 +206,6 @@ def beam_decode(
                 if _frame_settled(next_beams, frontier, beam_width):
                     break
         beams = _top_b(next_beams, beam_width)
-
     nbest = [Hypothesis(labels, float(lp)) for labels, lp in beams.items()]
     nbest.sort(key=Hypothesis.sort_key)
     return nbest
@@ -217,7 +244,7 @@ def _best_extensions(frontier, scores: np.ndarray, beam_width: int, shift: int):
 
 
 def _frame_settled(next_beams: dict, frontier, beam_width: int) -> bool:
-    """Whether no later round can change the frame's top B (``beam_decode``)."""
+    """Whether no later round can change the frame's top B (``_search``)."""
     if len(next_beams) < beam_width:
         return False
     theta = sorted(next_beams.values(), reverse=True)[beam_width - 1]

@@ -7,9 +7,9 @@ decoder sees only the last N labels, so the hypotheses share most of their
 history windows: each utterance's grid covers the distinct windows of its
 whole list, and each hypothesis's lattice reads its own columns of it.  The
 risk's ``dlogits`` sum each hypothesis's, scaled by -d(risk)/d(log P(h)).
-An EMBR step decodes its whole batch first (the weights are fixed within a
-step), then runs training's ``backprop.step_grads`` over it.  Each
-utterance is encoded once, for its beam search and its rescoring.
+An EMBR step decodes its whole batch first, in one ``beam_decode_batch``
+(the weights are fixed within a step), then runs training's
+``backprop.step_grads`` over it.  Each utterance is encoded once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .backprop import forward_grid, forward_windows, step_grads, target_windows
 from .config import DecoderConfig, DictCodec
-from .decoding import Hypothesis, beam_decode
+from .decoding import Hypothesis, beam_decode, beam_decode_batch  # noqa: F401 (beam_decode re-exported)
 from .errors import DomainError
 from .lattice import transducer_loss
 from .toy import Utterance, frames_for
@@ -183,11 +183,12 @@ def utterance_risk_grads(utt: Utterance, nbest_labels: list[tuple[int, ...]],
 
 
 def _decoded(utts, weights, config, beam_width, add_reference=False):
-    """Yield (utt, frames, n-best labels) per utterance, encoding each once;
-    the list gets the reference appended when asked and missing."""
-    for utt in utts:
-        frames = frames_for(utt, weights)
-        labels = [h.labels for h in beam_decode(frames, weights, config, beam_width)]
+    """Yield (utt, frames, n-best labels) per utterance, all decoded in one
+    batch; the list gets the reference appended when asked and missing."""
+    frames_list = [frames_for(utt, weights) for utt in utts]
+    nbests = beam_decode_batch(frames_list, weights, config, beam_width)
+    for utt, frames, nbest in zip(utts, frames_list, nbests):
+        labels = [h.labels for h in nbest]
         if add_reference and tuple(utt.labels) not in labels:
             labels.append(tuple(utt.labels))
         yield utt, frames, labels

@@ -273,3 +273,87 @@ def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
     assert len(scored.pairs) == len(set(scored.pairs))
     assert set(scored.pairs) <= set(naive.pairs)
     assert len(scored.pairs) < len(naive.pairs)
+
+
+class LockstepTicks:
+    """Rebinds ``prediction_forward``, ``project_prediction`` and the joint
+    (``joint_tanh``, ``output_logits``, ``log_softmax``) in the decoding
+    module, to log the calls of ``beam_decode_batch`` and record the
+    (utterance, frame index, window) triple of every joint row.  A row's
+    frame is recovered from its ``f_t @ enc_w`` row, its window from its
+    projected prediction row; distinct frames and windows must give
+    distinct bytes."""
+
+    def __init__(self, monkeypatch, frames_list, weights):
+        self.frame_of = {}
+        for u, frames in enumerate(frames_list):
+            for t, f in enumerate(frames):
+                assert self.frame_of.setdefault((f @ weights.enc_w).tobytes(), (u, t)) == (u, t)
+        self.window_of = {}
+        self.predicted = []  # every window sent to the prediction network
+        self.triples = []
+        self.log = CallLog(monkeypatch, (rnntdec.decoding, "output_logits"), (rnntdec.decoding, "log_softmax"))
+        pf, proj, jt = (rnntdec.decoding.prediction_forward, rnntdec.decoding.project_prediction,
+                        rnntdec.decoding.joint_tanh)
+
+        def note(rows, windows):
+            for window, row in zip(windows, rows):
+                assert self.window_of.setdefault(row.tobytes(), window) == window
+
+        def prediction(ids, *args, **kwargs):
+            self.log.events.append("prediction_forward")
+            out = pf(ids, *args, **kwargs)
+            windows = list(map(tuple, ids.tolist()))
+            self.predicted += windows
+            note(out, windows)
+            return out
+
+        def projection(g, *args, **kwargs):
+            out = proj(g, *args, **kwargs)
+            note(out, [self.window_of[row.tobytes()] for row in g])
+            return out
+
+        def joint(enc, pred, *args, **kwargs):
+            self.log.events.append("joint_tanh")
+            for e, p in zip(np.broadcast_to(enc, pred.shape), pred):
+                self.triples.append((*self.frame_of[e.tobytes()], self.window_of[p.tobytes()]))
+            return jt(enc, pred, *args, **kwargs)
+
+        monkeypatch.setattr(rnntdec.decoding, "prediction_forward", prediction)
+        monkeypatch.setattr(rnntdec.decoding, "project_prediction", projection)
+        monkeypatch.setattr(rnntdec.decoding, "joint_tanh", joint)
+
+
+@pytest.mark.parametrize("key", ["reduced", "lstm"])
+def test_each_lockstep_tick_makes_one_joint_call(key, monkeypatch):
+    w, cfg, _ = row_cases(key, np.dtype("f8"))
+    frames_list = [SeededRng(7 + u).normal((T, cfg.d_enc)) for u, T in enumerate((5, 2, 6, 1))]
+    # per utterance alone: its joint calls (one per round that meets new
+    # windows) and the (utterance, frame, window) triples the naive search scores
+    alone, naive = [], set()
+    for u, frames in enumerate(frames_list):
+        with monkeypatch.context() as m:
+            spy = LockstepTicks(m, [frames], w)
+            nbest = beam_decode(frames, w, cfg, 3)
+            alone.append((nbest, spy.log.count("joint_tanh")))
+        with monkeypatch.context() as m:
+            pairs = ScoredPairs(m, helpers, frames)
+            naive_beam_decode(frames, w, cfg, 3)
+            naive |= {(u, t, window) for t, window in pairs.pairs}
+    spy = LockstepTicks(monkeypatch, frames_list, w)
+    batch = rnntdec.beam_decode_batch(frames_list, w, cfg, 3)
+    assert batch == [nbest for nbest, _ in alone]
+    # a search asks once per tick until it ends, so the batch runs as many
+    # ticks as its longest search asks, and each tick is one joint call
+    # after at most one prediction call
+    ticks = max(calls for _, calls in alone)
+    assert spy.log.count("joint_tanh") == spy.log.count("output_logits") == spy.log.count("log_softmax") == ticks
+    between = " ".join(e for e in spy.log.events if e != "output_logits" and e != "log_softmax")
+    assert all(calls.split() in ([], ["prediction_forward"]) for calls in between.split("joint_tanh"))
+    assert between.split("joint_tanh")[-1].split() == []
+    # each triple is scored once, and only triples the naive searches score;
+    # no window reaches the prediction network twice
+    assert len(spy.triples) == len(set(spy.triples))
+    assert set(spy.triples) <= naive
+    assert {u for u, _, _ in spy.triples} == set(range(len(frames_list)))
+    assert len(spy.predicted) == len(set(spy.predicted))

@@ -9,6 +9,7 @@ import rnntdec.decoding
 from rnntdec import (
     SeededRng,
     beam_decode,
+    beam_decode_batch,
     convert_to_lookup,
     greedy_decode,
     init_weights,
@@ -399,6 +400,105 @@ class TestFrameExit:
         for key in [*beams, (1, 1)]:  # NaN at any rank, or on a key of its own
             assert not _frame_settled({**beams, key: np.nan}, frontier, 2)
         assert not _frame_settled(beams, frontier + [((1, 1, 1), np.nan, 0)], 2)
+
+
+# (weights dtype, frames dtype): f8, f4, and f8 frames on f4 weights
+DTYPE_MODES = {"f8": (np.float64, np.float64), "f4": (np.float32, np.float32),
+               "f8-on-f4": (np.float32, np.float64)}
+
+
+def peaked_model(variant, dtype, vocab, cap, seed, scale, blank_bias):
+    """``TestFrameExit``'s peaked models: output rows scaled up and a blank
+    bias, so frames often end before their last round."""
+    cfg = tiny_config(variant, vocab_size=vocab, d_e=3, d_h=3, tied=bool(seed % 2),
+                      max_symbols_per_frame=cap, **({"lstm_proj": 3} if variant == "lstm" else {}))
+    w = init_weights(cfg, seed=seed, dtype=dtype)
+    w.out_w *= scale
+    w.blank_w *= scale
+    w.out_b[cfg.blank_id] += blank_bias
+    return cfg, w
+
+
+class TestLockstep:
+    """``beam_decode_batch`` runs its utterances' searches in lockstep, one
+    joint call per tick over all of them; each n-best list must equal the
+    utterance decoded alone and the naive search, bit for bit."""
+
+    as_pairs = staticmethod(TestBatchedBeam.as_pairs)
+
+    def check_batch(self, frames_list, w, cfg, width):
+        batch = beam_decode_batch(frames_list, w, cfg, width)
+        assert len(batch) == len(frames_list)
+        for i, (frames, nbest) in enumerate(zip(frames_list, batch)):
+            assert nbest == beam_decode(frames, w, cfg, width), f"utterance {i}"
+            assert self.as_pairs(nbest) == naive_beam_decode(frames, w, cfg, width), f"utterance {i}"
+
+    @pytest.mark.parametrize("mode", sorted(DTYPE_MODES))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_each_utterance_alone_on_peaked_models(self, variant, mode, monkeypatch):
+        ended = settled_beams(monkeypatch)
+        fired = []  # per batch: did some frame of some utterance end early
+        w_dtype, f_dtype = DTYPE_MODES[mode]
+
+        @given(width=st.integers(1, 6), cap=st.integers(1, 10), vocab=st.integers(2, 5),
+               seed=st.integers(0, 2**16), scale=st.sampled_from([1.0, 4.0, 12.0, 40.0]),
+               blank_bias=st.sampled_from([0.0, 10.0, 40.0]),
+               lengths=st.lists(st.integers(0, 6), min_size=1, max_size=5))
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        def check(width, cap, vocab, seed, scale, blank_bias, lengths):
+            cfg, w = peaked_model(variant, w_dtype, vocab, cap, seed, scale, blank_bias)
+            rng = SeededRng(seed)
+            frames_list = [(3.0 * rng.normal((T, cfg.d_enc))).astype(f_dtype) for T in lengths]
+            before = len(ended)
+            self.check_batch(frames_list, w, cfg, width)
+            fired.append(len(ended) > before)
+
+        check()
+        assert sum(fired) >= len(fired) // 4
+
+    @pytest.mark.parametrize("mode", sorted(DTYPE_MODES))
+    def test_zero_and_one_frame_utterances_in_a_batch(self, mode):
+        w_dtype, f_dtype = DTYPE_MODES[mode]
+        rng = np.random.default_rng(19)
+        for trial, variant in enumerate(VARIANTS * 2):
+            cfg = random_variant_config(variant, rng, vocab_size=int(rng.integers(2, 6)),
+                                        max_symbols_per_frame=1 + trial % 10)
+            w = init_weights(cfg, seed=trial, dtype=w_dtype)
+            lengths = [(0, 1, 4, 1, 2), (1, 0), (0,), (1,), (3, 0, 0, 5)][trial % 5]
+            frames_list = [(2.0 * rng.standard_normal((T, cfg.d_enc))).astype(f_dtype) for T in lengths]
+            for width in (1, 3, 6):
+                self.check_batch(frames_list, w, cfg, width)
+
+    def test_empty_batch(self):
+        cfg = tiny_config()
+        assert beam_decode_batch([], all_blank_model(cfg), cfg, 3) == []
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (2, 4, 1)])
+    def test_wrongly_shaped_utterance_fails_before_any_search(self, shape, monkeypatch):
+        cfg = tiny_config()  # d_enc = 4
+        w = init_weights(cfg, seed=0)
+        calls = []
+        monkeypatch.setattr(rnntdec.decoding, "prediction_forward", lambda *a: calls.append(a))
+        frames_list = [np.ones((3, 4)), np.ones((2, 4)), np.zeros(shape), np.ones((1, 4))]
+        with pytest.raises(ShapeError, match=r"utterance 2\b"):
+            beam_decode_batch(frames_list, w, cfg, 2)
+        assert calls == []
+
+    def test_mixed_frame_dtypes_fail_before_any_search(self, monkeypatch):
+        cfg = tiny_config()
+        w = init_weights(cfg, seed=0, dtype=np.float32)
+        calls = []
+        monkeypatch.setattr(rnntdec.decoding, "prediction_forward", lambda *a: calls.append(a))
+        frames_list = [np.ones((3, 4), np.float32), np.ones((2, 4), np.float32), np.ones((2, 4))]
+        with pytest.raises(ShapeError, match=r"utterance 2\b.*float64"):
+            beam_decode_batch(frames_list, w, cfg, 2)
+        assert calls == []
+
+    def test_nan_weights_are_domain_error(self):
+        cfg, w, frames = random_beam_instance(2)
+        w.out_w[0, 0] = np.nan
+        with pytest.raises(DomainError):
+            beam_decode_batch([frames[:1], frames], w, cfg, 1)
 
 
 class TestLookup:
