@@ -19,59 +19,30 @@ from .rng import SeededRng
 from .weights import ModelWeights
 
 BLOCK_RUNS = 100  # steps a decoder runs before the next decoder's turn
+POOL_SIZE = 16  # pre-generated (frame, history) inputs a step function cycles through
 
 
-@dataclass
-class TimingStats:
-    mean_ms: float
-    std_ms: float
-    times_ms: np.ndarray
-
-
-def step_timer(step_fn, runs: int, warmup: int = 0) -> TimingStats:
-    """Time ``runs`` calls of ``step_fn`` after ``warmup`` unrecorded calls.
-    Reports mean and population standard deviation in milliseconds.
-    """
-    if runs < 1:
-        raise ConfigError(f"benchmark needs runs >= 1, got {runs}")
-    for _ in range(warmup):
-        step_fn()
-    times = np.empty(runs, dtype=np.float64)
-    clock = time.perf_counter
-    for i in range(runs):
-        t0 = clock()
-        step_fn()
-        times[i] = clock() - t0
-    times *= 1e3
-    return TimingStats(float(times.mean()), float(times.std()), times)
-
-
-def make_step_fn(
-    weights: ModelWeights,
-    config: DecoderConfig,
-    seed: int = 0,
-    pool_size: int = 16,
-):
+def make_step_fn(weights: ModelWeights, config: DecoderConfig, seed: int = 0):
     """Closure running one decode step on pre-generated frames/windows.
 
-    Cycles through ``pool_size`` random (frame, populated-history) pairs so
+    Cycles through ``POOL_SIZE`` random (frame, populated-history) pairs so
     repeated calls do not hit one identical cached input.
     """
     rng = SeededRng(seed).derive(0xBE7C)
     frames = [
-        rng.normal(config.d_enc, dtype=weights.dtype) for _ in range(pool_size)
+        rng.normal(config.d_enc, dtype=weights.dtype) for _ in range(POOL_SIZE)
     ]
     # one-row recent-first id matrices of N labels drawn oldest first
     windows = [
         np.array([rng.integers(config.history_len, 0, config.vocab_size)[::-1]])
-        for _ in range(pool_size)
+        for _ in range(POOL_SIZE)
     ]
     idx = 0  # rotating index, plain int for speed
 
     def step():
         nonlocal idx
         i = idx
-        idx = (i + 1) % pool_size
+        idx = (i + 1) % POOL_SIZE
         g = prediction_forward(windows[i], weights, config)[0]
         return joint_forward(frames[i], g, weights, config)
 
@@ -101,19 +72,27 @@ def cpu_label() -> str:
 
 
 def bench_decoders(decoders, runs: int, warmup: int, seed: int = 0) -> list[BenchRecord]:
-    """One BenchRecord per (name, weights, config) of ``decoders``, each from
-    ``runs`` timed steps after ``warmup`` unrecorded ones.  The decoders take
-    turns in blocks of ``BLOCK_RUNS`` steps, so load on the host during the
-    run falls on all of them alike and does not decide their ratio.
+    """One BenchRecord per (name, weights, config) of ``decoders``: the mean
+    and population standard deviation, in milliseconds, of ``runs`` timed
+    steps.  The decoders take turns in blocks of ``BLOCK_RUNS`` steps, so
+    load on the host during the run falls on all of them alike and does not
+    decide their ratio; ``warmup`` unrecorded steps precede each decoder's
+    first block.
     """
     if runs < 1:
         raise ConfigError(f"benchmark needs runs >= 1, got {runs}")
     steps = [make_step_fn(weights, config, seed=seed) for _, weights, config in decoders]
     times = np.empty((len(steps), runs))
+    clock = time.perf_counter
     for start in range(0, runs, BLOCK_RUNS):
         for step, row in zip(steps, times):
-            block = row[start : start + BLOCK_RUNS]
-            block[:] = step_timer(step, len(block), 0 if start else warmup).times_ms
+            for _ in range(0 if start else warmup):
+                step()
+            for i in range(start, min(start + BLOCK_RUNS, runs)):
+                t0 = clock()
+                step()
+                row[i] = clock() - t0
+    times *= 1e3
     label = cpu_label()
     return [BenchRecord(label, name, runs, float(t.mean()), float(t.std()))
             for (name, _, _), t in zip(decoders, times)]

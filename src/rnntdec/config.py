@@ -117,10 +117,6 @@ class DecoderConfig(DictCodec):
         return self.vocab_size + 1
 
     @property
-    def num_logits(self) -> int:
-        return self.vocab_size + 1
-
-    @property
     def pn_out_dim(self) -> int:
         """Prediction-network output width fed to the joint."""
         if self.variant == CONCAT_2EMB:

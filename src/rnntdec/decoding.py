@@ -82,6 +82,7 @@ def greedy_decode(
     A non-blank argmax emits the label, feeds it back into the prediction
     network and stays on the frame; blank (or hitting the per-frame symbol
     cap) advances to the next frame.  Blanks never appear in the output.
+    A NaN log-prob raises DomainError.
     """
     config = _check_frames([enc_frames], weights, config)
     pn: dict[tuple[int, ...], np.ndarray] = {}  # window -> prediction row
@@ -96,7 +97,10 @@ def greedy_decode(
         while True:
             logp = log_softmax(joint_forward(f_t, g, weights, config))
             k = int(np.argmax(logp))
-            log_prob += float(logp[k])
+            lp = float(logp[k])
+            if lp != lp:  # argmax picks a row's first NaN, so this check covers the row
+                raise DomainError("greedy decoding met a NaN log-prob (non-finite network output)")
+            log_prob += lp
             if k == blank:
                 break
             labels.append(k)
@@ -266,15 +270,13 @@ class LookupTable:
     """Precomputed prediction outputs for every length-N history window of
     the model whose config is ``config``.
 
-    ``table[idx]`` is the output for the window whose most-recent-first ids
-    form the base-(V+1) digits of ``idx`` (pad id included).
+    ``table[idx]`` is the output for the window whose code (``window_code``)
+    is ``idx``: its most-recent-first ids, pad id included, form the
+    base-(V+1) digits of ``idx``.
     """
 
     config: DecoderConfig
     table: np.ndarray  # ((V+1)^N, pn_out)
-
-    def index_of(self, ids_recent_first) -> int:
-        return window_code(ids_recent_first, self.config.vocab_ext)
 
 
 def convert_to_lookup(

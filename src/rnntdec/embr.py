@@ -158,16 +158,12 @@ def _risk_item(utt, frames, nbest_labels, weights, config, posterior_scale):
     return utt.features, frames, ids, objective
 
 
-def _list_risk(utt, frames, nbest_labels, weights, config, posterior_scale) -> float:
-    ids, cols = _distinct_windows(nbest_labels, check_config(weights, config))
-    logits, _ = forward_windows(frames, ids, weights, config)
-    return _nbest_scores(logits, cols, nbest_labels, utt.labels, posterior_scale)[1].risk
-
-
 def utterance_risk(utt: Utterance, nbest_labels: list[tuple[int, ...]], weights: ModelWeights,
                    config: DecoderConfig, posterior_scale: float = 1.0) -> float:
     """Risk of a fixed candidate set under the current weights (no gradient)."""
-    return _list_risk(utt, frames_for(utt, weights), nbest_labels, weights, config, posterior_scale)
+    ids, cols = _distinct_windows(nbest_labels, check_config(weights, config))
+    logits, _ = forward_windows(frames_for(utt, weights), ids, weights, config)
+    return _nbest_scores(logits, cols, nbest_labels, utt.labels, posterior_scale)[1].risk
 
 
 def utterance_risk_grads(utt: Utterance, nbest_labels: list[tuple[int, ...]],
@@ -211,6 +207,6 @@ def dev_risk(
 ) -> float:
     """Mean risk of each utterance's beam n-best list (evaluation only)."""
     total = 0.0
-    for utt, frames, labels in _decoded(dev_set, weights, config, params.beam_width):
-        total += _list_risk(utt, frames, labels, weights, config, params.posterior_scale)
+    for utt, _, labels in _decoded(dev_set, weights, config, params.beam_width):
+        total += utterance_risk(utt, labels, weights, config, params.posterior_scale)
     return total / len(dev_set) if dev_set else 0.0

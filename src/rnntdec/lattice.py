@@ -52,17 +52,13 @@ class LossResult:
     lattice: TransducerLattice
 
 
-def transducer_loss(
-    logits_grid: np.ndarray,
-    target,
-    max_symbols_per_frame: int | None = None,
-) -> LossResult:
+def transducer_loss(logits_grid: np.ndarray, target) -> LossResult:
     """Negative log-probability of ``target`` summed over all alignments.
 
     ``logits_grid`` is (T, U+1, V+1) with blank as the last class.  The
     gradient w.r.t. the logits is computed analytically from the alpha/beta
-    grids.  ``max_symbols_per_frame``, when given, only bounds feasibility
-    (U <= T * cap); the lattice itself is the standard uncapped recursion.
+    grids.  The lattice is the standard uncapped recursion, so any U is
+    feasible over T >= 1 frames.
     """
     target = list(target)
     U = len(target)
@@ -82,11 +78,6 @@ def transducer_loss(
         lattice = TransducerLattice(0, 0, np.zeros((0, 1)), np.zeros((0, 1)),
                                     np.zeros((0, 1)), np.zeros((0, 0)), 0.0)
         return LossResult(0.0, np.zeros_like(logits_grid), lattice)
-    if max_symbols_per_frame is not None and U > T * max_symbols_per_frame:
-        raise DomainError(
-            f"{U} labels cannot be emitted in {T} frames at "
-            f"{max_symbols_per_frame} symbols per frame"
-        )
 
     lp = log_softmax(logits_grid)
     blank = num_logits - 1

@@ -285,4 +285,6 @@ def load_lookup(path: str) -> tuple[LookupTable, DecoderConfig]:
     rows = config.vocab_ext**config.history_len
     table = _read_tensor(archive, path, "table", (rows, config.pn_out_dim))
     _check_layout(path, archive)
+    if not np.isfinite(table).all():
+        raise ValidationError(f"{path}: non-finite entries in the lookup table")
     return LookupTable(config, table), config

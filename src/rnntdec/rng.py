@@ -3,9 +3,9 @@
 The generator is SplitMix64 (Steele, Lea & Flood 2014) run in counter mode:
 draw ``i`` of a stream seeded with ``s`` is ``mix64(s + (i+1)*GOLDEN)`` where
 ``GOLDEN = 0x9E3779B97F4A7C15`` and ``mix64`` is the standard SplitMix64
-finalizer.  Because each draw is a pure function of (seed, index), bulk
-generation vectorizes over numpy uint64 arrays while producing exactly the
-same stream as the scalar path.
+finalizer.  Because each draw is a pure function of (seed, index),
+generation vectorizes over numpy uint64 arrays; ``_mix64_array`` computes
+exactly what the scalar ``_mix64`` does, element by element.
 
 The uint64 and uniform streams are bit-reproducible on any platform (integer
 arithmetic plus exact power-of-two scaling).  Normal deviates use Box-Muller
@@ -50,10 +50,6 @@ class SeededRng:
     def derive(self, salt: int) -> "SeededRng":
         """Independent child stream; a pure function of (seed, salt)."""
         return SeededRng(_mix64(self._seed ^ _mix64(salt & _MASK)))
-
-    def next_u64(self) -> int:
-        self._count += 1
-        return _mix64((self._seed + self._count * _GOLDEN) & _MASK)
 
     def uint64(self, n: int) -> np.ndarray:
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)

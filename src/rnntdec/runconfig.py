@@ -50,32 +50,23 @@ class RunConfig:
             raise ConfigError(f"config is missing required section(s): {', '.join(missing)}")
 
 
-def _parse_decoder(d, path: str) -> DecoderConfig:
+def _parse_decoder(d, path: str) -> tuple[str | None, DecoderConfig]:
+    """A decoder entry's name (its preset's when it has none; None when it
+    names neither) and its config."""
     if isinstance(d, str):
-        return preset(d)
+        return d, preset(d)
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: expected an object or preset name")
     d = dict(d)
-    if not isinstance(d.pop("name", ""), str):
+    if not isinstance(d.get("name", ""), str):
         raise ConfigError(f"{path}.name: expected str")
     base = d.pop("preset", None)
+    name = d.pop("name", base)
     if base is not None:
         merged = preset(base).to_dict()
         merged.update(d)
         d = merged
-    return DecoderConfig.from_dict(d, path)
-
-
-def _decoder_name(entry, index: int) -> str:
-    if isinstance(entry, str):
-        return entry
-    if isinstance(entry, dict):
-        if "name" in entry:
-            return str(entry["name"])
-        if "preset" in entry:
-            return str(entry["preset"])
-        return f"decoder{index}"
-    return f"decoder{index}"
+    return name, DecoderConfig.from_dict(d, path)
 
 
 def _parse_bench(d: dict, path: str) -> BenchConfig:
@@ -87,8 +78,8 @@ def _parse_bench(d: dict, path: str) -> BenchConfig:
         raise ConfigError(f"{path}.decoders: expected a list")
     decoders = []
     for i, entry in enumerate(decoder_entries):
-        name = _decoder_name(entry, i)
-        decoders.append((name, _parse_decoder(entry, f"{path}.decoders[{i}]")))
+        name, dec = _parse_decoder(entry, f"{path}.decoders[{i}]")
+        decoders.append((f"decoder{i}" if name is None else name, dec))
     return BenchConfig.from_dict({**d, "decoders": decoders}, path)
 
 
@@ -100,7 +91,7 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     cfg = RunConfig()
     if "decoder" in doc:
-        cfg.decoder = _parse_decoder(doc["decoder"], "decoder")
+        cfg.decoder = _parse_decoder(doc["decoder"], "decoder")[1]
     if "task" in doc:
         cfg.task = ToyTaskSpec.from_dict(doc["task"], "task")
     if "train" in doc:

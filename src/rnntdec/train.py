@@ -136,7 +136,8 @@ def train(
 ) -> TrainResult:
     """Train a fresh decoder (plus encoder stub) on the toy task.
 
-    Raises DivergenceError as soon as a batch loss goes non-finite.
+    Raises DivergenceError as soon as a batch loss, or an epoch's dev
+    decode, goes non-finite.
     """
     train_set, dev_set, _ = toy_corpus(config, task, hp)
     rng = SeededRng(hp.seed)
@@ -168,10 +169,14 @@ def train(
             optimizer.step(tensors, grads)
             losses.append(loss)
             steps += 1
+        try:
+            dev_ter = token_error_rate(dev_set, weights, config)
+        except DomainError as e:  # an update left the network non-finite
+            raise DivergenceError(f"diverged (non-finite dev decode) at epoch {epoch}: {e}") from e
         entry = EpochMetrics(
             epoch=epoch,
             loss=float(np.mean(losses)) if losses else 0.0,
-            dev_token_error_rate=token_error_rate(dev_set, weights, config),
+            dev_token_error_rate=dev_ter,
             wall_s=time.perf_counter() - t0,
         )
         metrics.append(entry)

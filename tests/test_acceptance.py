@@ -33,7 +33,7 @@ from rnntdec import (
 )
 from rnntdec.bench import bench_decoders
 from rnntdec.config import PRESET_NAMES
-from rnntdec.decoding import Hypothesis, beam_decode
+from rnntdec.decoding import Hypothesis, beam_decode, window_code
 from rnntdec.embr import NBestList, utterance_risk, utterance_risk_grads
 from rnntdec.mathops import log_softmax
 from rnntdec.model_io import read_archive
@@ -167,7 +167,8 @@ def test_criterion_05_lookup_equivalence():
             assert table.table.shape[0] == (vocab + 1) ** 2
             for ctx in itertools.product(range(cfg.vocab_ext), repeat=cfg.history_len):
                 np.testing.assert_array_equal(
-                    table.table[table.index_of(ctx)], prediction_forward(np.array([ctx]), w, cfg)[0]
+                    table.table[window_code(ctx, cfg.vocab_ext)],
+                    prediction_forward(np.array([ctx]), w, cfg)[0],
                 )
 
 

@@ -28,6 +28,8 @@ TOY_CONFIG = {
     "embr": {"beam_width": 2, "steps": 2, "lr": 0.005, "batch_size": 2, "seed": 0},
 }
 
+TOY_REDUCED = Path(__file__).resolve().parents[1] / "configs" / "toy_reduced.json"
+
 TABLE1_CONFIG = {
     "bench": {
         "runs": 10,
@@ -276,6 +278,21 @@ class TestPipeline:
         cfg = write(tmp_path, "diverge.json", doc)
         assert main(["train", cfg, str(tmp_path / "m.rnnt")]) == 5
         assert capsys.readouterr().err.startswith("error[divergence]")
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
+    def test_train_divergence_in_last_update_exit_code(self, tmp_path, capsys, grad_clip):
+        # one step per epoch: the batch losses stay finite, and only the
+        # epoch's dev decode meets the non-finite network
+        doc = json.loads(TOY_REDUCED.read_text())
+        doc["train"] = dict(doc["train"], lr=1e300, epochs=1, batch_size=200, grad_clip=grad_clip)
+        out = tmp_path / "m.rnnt"
+        assert main(["train", write(tmp_path, "diverge.json", doc), str(out)]) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[divergence]: diverged"), err
+        assert "epoch 0" in err[0]
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

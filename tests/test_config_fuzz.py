@@ -26,6 +26,19 @@ BASE["bench"] = {
 assert parse_run_config(copy.deepcopy(BASE)).bench.decoders[1][0] == "small"
 
 
+def test_bench_entry_names():
+    # an entry's name, else its preset's, else decoder<i>
+    doc = {"bench": {"decoders": [
+        "lstm",
+        {"preset": "reduced_small"},
+        {"variant": "reduced", "vocab_size": 4, "d_e": 4, "d_h": 4, "d_enc": 4},
+        {"preset": "lstm", "name": ""},
+        {"preset": "lstm", "name": "big"},
+    ]}}
+    names = [name for name, _ in parse_run_config(doc).bench.decoders]
+    assert names == ["lstm", "reduced_small", "decoder2", "", "big"]
+
+
 def value_paths(doc, prefix=()):
     """The key/index path of ``doc`` itself and of every value inside it."""
     yield prefix

@@ -46,7 +46,6 @@ class TestConfigValidation:
     def test_blank_is_last_index(self):
         cfg = tiny_config()
         assert cfg.blank_id == cfg.vocab_size
-        assert cfg.num_logits == cfg.vocab_size + 1
 
 
 class TestParamCount:

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from rnntdec import (
     init_weights,
     prediction_forward,
 )
-from rnntdec.bench import step_timer
-from rnntdec.decoding import LookupTable, _frame_settled
+import rnntdec.bench
+from rnntdec.bench import bench_decoders
+from rnntdec.decoding import _frame_settled, window_code
 from rnntdec.errors import CapacityError, ConfigError, DomainError, ShapeError
 from rnntdec.mathops import log_softmax
 from rnntdec.nets import joint_forward
@@ -104,6 +106,15 @@ class TestGreedy:
             cfg, w, frames = random_beam_instance(trial)
             res = greedy_decode(frames, w, cfg)
             assert all(0 <= v < cfg.vocab_size for v in res.labels)
+
+    def test_nan_weights_are_domain_error(self):
+        # unchecked, greedy would emit label 0 up to the cap on every frame
+        # with log-prob NaN
+        cfg = tiny_config(vocab_size=3, d_e=4, d_h=4, d_enc=4)
+        w = init_weights(cfg, seed=0)
+        w.out_w[0, 0] = np.nan
+        with pytest.raises(DomainError):
+            greedy_decode(SeededRng(1).normal((5, cfg.d_enc)), w, cfg)
 
 
 class TestBeam:
@@ -515,7 +526,7 @@ class TestLookup:
             table = convert_to_lookup(w, cfg)
             for ctx in itertools.product(range(cfg.vocab_ext), repeat=cfg.history_len):
                 direct = prediction_forward(np.array([ctx]), w, cfg)[0]
-                np.testing.assert_array_equal(table.table[table.index_of(ctx)], direct)
+                np.testing.assert_array_equal(table.table[window_code(ctx, cfg.vocab_ext)], direct)
 
     def test_capacity_error_for_large_vocab(self):
         cfg = tiny_config(vocab_size=4096, d_e=4, d_h=4, history_len=2, num_heads=1)
@@ -525,23 +536,52 @@ class TestLookup:
 
     def test_index_round_trip(self):
         cfg = tiny_config(vocab_size=5, history_len=3)
-        table = LookupTable(cfg, np.zeros((216, 2)))
         seen = set()
         for ctx in itertools.product(range(cfg.vocab_ext), repeat=cfg.history_len):
-            seen.add(table.index_of(ctx))
+            seen.add(window_code(ctx, cfg.vocab_ext))
         assert seen == set(range(216))
 
 
 class TestStepTimer:
-    def test_noop_floor(self):
-        stats = step_timer(lambda: None, runs=200, warmup=10)
-        assert stats.mean_ms < 0.05
+    """``bench_decoders`` is the step timer of ``rnntdec bench``."""
 
-    def test_population_std(self):
-        stats = step_timer(lambda: None, runs=100, warmup=0)
-        np.testing.assert_allclose(stats.std_ms, stats.times_ms.std(), atol=1e-12)
-        assert len(stats.times_ms) == 100
+    @staticmethod
+    def fake_steps(monkeypatch, durations_s):
+        """Each decoder's k-th step takes ``durations_s(k)`` seconds on a fake
+        clock; returns the list of each decoder's step counts."""
+        now, counts = [0.0], []
+
+        def make_step_fn(weights, config, seed=0):
+            counts.append(0)
+            index = len(counts) - 1
+
+            def step():
+                now[0] += durations_s(counts[index])
+                counts[index] += 1
+            return step
+
+        monkeypatch.setattr(rnntdec.bench, "make_step_fn", make_step_fn)
+        monkeypatch.setattr(rnntdec.bench, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        return counts
+
+    def test_noop_floor(self, monkeypatch):
+        monkeypatch.setattr(rnntdec.bench, "make_step_fn", lambda *a, **k: lambda: None)
+        (rec,) = bench_decoders([("noop", None, None)], runs=200, warmup=10)
+        assert rec.mean_ms < 0.05
+
+    def test_population_std(self, monkeypatch):
+        # two decoders over two blocks: warm-up steps precede only each
+        # decoder's first block and are not recorded
+        counts = self.fake_steps(monkeypatch, lambda k: float(k + 1))
+        runs, warmup = rnntdec.bench.BLOCK_RUNS + 50, 3
+        records = bench_decoders([("a", None, None), ("b", None, None)], runs, warmup)
+        assert counts == [warmup + runs] * 2
+        expected = np.arange(warmup + 1, warmup + runs + 1) * 1e3  # ms of steps 4, 5, ...
+        for rec in records:
+            assert rec.runs == runs
+            assert rec.mean_ms == expected.mean()
+            assert rec.std_ms == expected.std() != expected.std(ddof=1)
 
     def test_runs_floor(self):
         with pytest.raises(ConfigError):
-            step_timer(lambda: None, runs=0)
+            bench_decoders([("noop", None, None)], runs=0, warmup=0)

@@ -119,7 +119,7 @@ def test_missing_cache_is_state_error():
     cfg = tiny_config()
     w = init_weights(cfg, seed=0)
     with pytest.raises(StateError):
-        backprop_decoder(np.zeros((1, 1, cfg.num_logits)), None, w, cfg)
+        backprop_decoder(np.zeros((1, 1, cfg.vocab_size + 1)), None, w, cfg)
 
 
 def test_grid_forward_matches_stepwise_joint():

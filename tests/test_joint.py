@@ -18,9 +18,9 @@ def test_zero_model_gives_uniform_distribution():
     for t in trainable_tensors(w).values():
         t[:] = 0.0
     logits = joint_forward(np.ones(cfg.d_enc), np.ones(cfg.pn_out_dim), w, cfg)
-    np.testing.assert_array_equal(logits, np.zeros(cfg.num_logits))
+    np.testing.assert_array_equal(logits, np.zeros(cfg.vocab_size + 1))
     np.testing.assert_allclose(
-        np.exp(log_softmax(logits)), np.full(cfg.num_logits, 1.0 / cfg.num_logits), atol=1e-12
+        np.exp(log_softmax(logits)), np.full(cfg.vocab_size + 1, 1.0 / (cfg.vocab_size + 1)), atol=1e-12
     )
 
 
@@ -55,7 +55,7 @@ def test_blank_is_last_and_uses_blank_row():
     w = tiny_model(cfg, seed=5)
     h = SeededRng(9).normal(cfg.d_h)
     logits = output_logits(h, w)
-    assert logits.shape == (cfg.num_logits,)
+    assert logits.shape == (cfg.vocab_size + 1,)
     np.testing.assert_allclose(
         logits[cfg.blank_id], w.blank_w @ h + w.out_b[cfg.blank_id], atol=1e-15
     )
@@ -96,7 +96,7 @@ def test_batched_joint_rows_equal_single_vector_joint(variant, dtype):
         f_t = rng.standard_normal(cfg.d_enc).astype(dtype)
         G = rng.standard_normal((int(rng.integers(1, 10)), cfg.pn_out_dim)).astype(dtype)
         batch = joint_forward(f_t, G, w, cfg)
-        assert batch.shape == (G.shape[0], cfg.num_logits) and batch.dtype == dtype
+        assert batch.shape == (G.shape[0], cfg.vocab_size + 1) and batch.dtype == dtype
         for g, row in zip(G, batch):
             np.testing.assert_array_equal(row, joint_forward(f_t, g, w, cfg))
 

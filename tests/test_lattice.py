@@ -92,10 +92,8 @@ def test_empty_frames():
 
 
 def test_feasibility_cap():
+    # the standard lattice has no per-frame cap: U = 5 labels fit in T = 2 frames
     logits = np.zeros((2, 6, 3))
-    with pytest.raises(DomainError):
-        transducer_loss(logits, [0, 1, 0, 1, 0], max_symbols_per_frame=2)
-    # without the cap the standard lattice allows it
     assert np.isfinite(transducer_loss(logits, [0, 1, 0, 1, 0]).loss)
 
 

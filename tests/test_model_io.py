@@ -324,6 +324,17 @@ def test_lookup_archive_round_trip(tmp_path):
         load(path)  # model loader refuses a lookup archive
 
 
+def test_non_finite_lookup_table_is_validation_error(tmp_path):
+    cfg = tiny_config(vocab_size=3, history_len=2, num_heads=1)
+    table = convert_to_lookup(init_weights(cfg, seed=4), cfg)
+    for bad in (np.nan, np.inf):
+        table.table[5, 1] = bad
+        path = str(tmp_path / "table")
+        save_lookup(table, path)
+        with pytest.raises(ValidationError, match="non-finite"):
+            load_lookup(path)
+
+
 # save() of models whose every tensor holds exactly representable values,
 # recorded before the tensor table replaced the per-variant save/load code:
 # key -> (sha256 of the archive, "name@offset:rowsxcols" in blob order).
