@@ -13,8 +13,8 @@ the end, the LSTM's in lockstep.  In between, each utterance builds its
 grid from its rows, runs its objective and back-propagates it into the
 step's one gradient set: a name -> array dict keyed by the tensor table,
 where tied models accumulate the output-layer gradient into ``emb`` and the
-pad embedding row's gradient is zero.  ``forward_windows`` (``forward_grid``
-for one target) and ``backprop_decoder`` are the same passes for one grid.
+pad embedding row's gradient is zero.  ``forward_grid`` and
+``backprop_decoder`` are the same passes for one target's grid.
 
 Grid buffers of one utterance, each (T, W, width), every elementwise step
 done in place in one of them:
@@ -117,23 +117,9 @@ def target_windows(target, config: DecoderConfig) -> np.ndarray:
 
 
 def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: DecoderConfig):
-    """Logits over the whole alignment grid of ``target``, with cached
-    activations: ``forward_windows`` over its U+1 history windows.
-
-    Returns (logits (T, U+1, V+1), ForwardCache).
-    """
-    return forward_windows(frames, target_windows(target, check_config(weights, config)),
-                           weights, config)
-
-
-def forward_windows(frames: np.ndarray, ids: np.ndarray, weights: ModelWeights,
-                    config: DecoderConfig):
-    """Logits of every frame against every window of the (W, N) recent-first
-    id matrix ``ids``, with cached activations.
-
-    Returns (logits (T, W, V+1), ForwardCache).
-    """
+    """(logits (T, U+1, V+1), ForwardCache) over ``target``'s alignment grid."""
     config = check_config(weights, config)
+    ids = target_windows(target, config)
     pn: list = []
     g_stack = prediction_forward(ids, weights, config, pn)
     logits, hidden = _grid_forward(frames, g_stack @ weights.pred_w, weights)

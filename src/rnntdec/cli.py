@@ -3,7 +3,8 @@
 Subcommands: params, train, embr, decode, convert-lookup, bench.
 Exit codes: 0 success, 1 other error, 2 schema, 3 I/O, 4 capacity,
 5 divergence.  Failures print one line ``error[<category>]: <message>`` to
-stderr.  All JSON output uses sorted keys so runs diff cleanly.
+stderr; numpy's floating-point flags are ignored, as the package's typed
+checks report non-finite results.  JSON output uses sorted keys.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     DomainError,
     RnntError,
 )
-from .model_io import load, read_archive, save, save_lookup
+from .model_io import load, read_archive, save, save_lookup, write_atomic
 from .runconfig import RunConfig, load_run_config
 from .toy import toy_encode
 from .train import embr_phase, toy_corpus, train
@@ -95,9 +96,11 @@ def cmd_train(args) -> int:
     hp = cfg.train
     if args.seed is not None:
         hp = replace(hp, seed=args.seed)
-    metrics_path = args.out_model + ".metrics.jsonl"
-    result = train(cfg.decoder, cfg.task, hp, metrics_path=metrics_path)
+    result = train(cfg.decoder, cfg.task, hp)
     save(result.weights, cfg.decoder, args.out_model, seed=hp.seed)
+    metrics_path = args.out_model + ".metrics.jsonl"
+    write_atomic(metrics_path, "".join(
+        json.dumps(m.to_dict(), sort_keys=True) + "\n" for m in result.metrics).encode("utf-8"))
     final = result.metrics[-1]
     print(f"model: {args.out_model}")
     print(f"metrics: {metrics_path}")
@@ -318,7 +321,8 @@ _EXIT_CODES = [
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except RnntError as e:
         print(f"error[{e.category}]: {e}", file=sys.stderr)
         for exc_type, code in _EXIT_CODES:

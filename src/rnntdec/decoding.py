@@ -279,6 +279,15 @@ class LookupTable:
     table: np.ndarray  # ((V+1)^N, pn_out)
 
 
+def table_rows(config: DecoderConfig, limit: int) -> int | None:
+    """A lookup table's row count (V+1)^N, or None when it exceeds
+    ``limit``, decided without forming a number much larger than ``limit``."""
+    if config.history_len > limit.bit_length():  # then (V+1)^N >= 2^N > limit
+        return None
+    rows = config.vocab_ext**config.history_len
+    return rows if rows <= limit else None
+
+
 def convert_to_lookup(
     weights: ModelWeights,
     config: DecoderConfig,
@@ -291,12 +300,10 @@ def convert_to_lookup(
     """
     config = check_config(weights, config)
     n = config.history_len
-    entries = config.vocab_ext**n
-    if entries > max_entries:
-        raise CapacityError(
-            f"lookup table needs {entries} entries "
-            f"({config.vocab_ext}^{n}), budget is {max_entries}"
-        )
+    entries = table_rows(config, max_entries)
+    if entries is None:
+        raise CapacityError(f"lookup table needs (V+1)^N = {config.vocab_ext}^{n} entries, "
+                            f"more than the budget of {max_entries}")
     # row r holds the recent-first window whose base-(V+1) digits spell r
     ids = np.stack(np.unravel_index(np.arange(entries), (config.vocab_ext,) * n), axis=1)
     table = np.empty((entries, config.pn_out_dim), dtype=weights.dtype)

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backprop import forward_grid, forward_windows, step_grads, target_windows
+from .backprop import _grid_forward, forward_grid, step_grads, target_windows
 from .config import DecoderConfig, DictCodec
 from .decoding import Hypothesis, beam_decode, beam_decode_batch  # noqa: F401 (beam_decode re-exported)
 from .errors import DomainError
 from .lattice import transducer_loss
+from .nets import prediction_forward
 from .toy import Utterance, frames_for
 from .weights import ModelWeights, check_config
 
@@ -162,7 +163,8 @@ def utterance_risk(utt: Utterance, nbest_labels: list[tuple[int, ...]], weights:
                    config: DecoderConfig, posterior_scale: float = 1.0) -> float:
     """Risk of a fixed candidate set under the current weights (no gradient)."""
     ids, cols = _distinct_windows(nbest_labels, check_config(weights, config))
-    logits, _ = forward_windows(frames_for(utt, weights), ids, weights, config)
+    G = prediction_forward(ids, weights, config) @ weights.pred_w
+    logits, _ = _grid_forward(frames_for(utt, weights), G, weights)
     return _nbest_scores(logits, cols, nbest_labels, utt.labels, posterior_scale)[1].risk
 
 

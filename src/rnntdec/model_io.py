@@ -8,9 +8,9 @@ rejects entries that overlap or leave blob bytes uncovered.  Tied models
 store the embedding matrix once and record the output-layer alias in the
 manifest, so a tied archive is exactly ``d_h * vocab_size`` float slots
 smaller than its untied twin.  Saving is byte-deterministic: sorted manifest
-keys, fixed tensor order.  Saving is also atomic: the archive is written to
-a temporary file beside the destination and renamed over it, so a failed
-save leaves any earlier archive at that path untouched.
+keys, fixed tensor order.  Every file the package writes goes through
+``write_atomic``: a temporary file beside the destination, renamed over it,
+so a failed write leaves any earlier file at that path untouched.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DecoderConfig
-from .decoding import LookupTable
+from .decoding import LookupTable, table_rows
 from .errors import (
     ArchiveError,
     ConfigError,
@@ -77,6 +77,21 @@ def _manifest(kind: str, config: DecoderConfig, seed: int | None) -> dict:
     }
 
 
+def write_atomic(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` through a temporary file beside it and
+    a rename, or raise ArchiveError and leave ``path`` as it was."""
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as e:
+        raise ArchiveError(f"cannot write {path}: {e}") from e
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)  # gone already unless the write or rename failed
+
+
 def _write_archive(path: str, manifest: dict, tensors) -> None:
     """Write ``tensors``, (name, array, (rows, cols)) in blob order."""
     directory = {}
@@ -88,16 +103,7 @@ def _write_archive(path: str, manifest: dict, tensors) -> None:
         blob.extend(data)
     manifest = {**manifest, "tensors": directory}
     raw = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(struct.pack("<Q", len(raw)) + raw + bytes(blob))
-        os.replace(tmp, path)
-    except OSError as e:
-        raise ArchiveError(f"cannot write archive {path}: {e}") from e
-    finally:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)  # gone already unless the write or rename failed
+    write_atomic(path, struct.pack("<Q", len(raw)) + raw + bytes(blob))
 
 
 def save(
@@ -282,7 +288,11 @@ def save_lookup(table: LookupTable, path: str) -> None:
 
 def load_lookup(path: str) -> tuple[LookupTable, DecoderConfig]:
     archive, config = _open_archive(path, "lookup")
-    rows = config.vocab_ext**config.history_len
+    entry = archive.manifest["tensors"].get("table")
+    rows = table_rows(config, entry["rows"]) if entry else 0  # a missing table fails below
+    if rows is None:
+        raise ValidationError(f"{path}: table is stored with {entry['rows']} rows, fewer than "
+                              f"(V+1)^N = {config.vocab_ext}^{config.history_len}")
     table = _read_tensor(archive, path, "table", (rows, config.pn_out_dim))
     _check_layout(path, archive)
     if not np.isfinite(table).all():

@@ -4,13 +4,12 @@ EMBR fine-tuning phase that follows it.
 Every optimizer step of either phase is one ``backprop.step_grads`` call
 over the batch, with one gradient set: the loss's grid pairs each frame
 with the U+1 history windows of the target.  Everything is single-threaded
-and deterministic given the hyperparameter seed.  Per-epoch metrics can be
-appended to a JSON-lines log.
+and deterministic given the hyperparameter seed.  Both phases make their
+steps through ``_update``, the one place that decides a run has diverged.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -20,7 +19,6 @@ from .backprop import step_grads, target_windows
 from .config import DecoderConfig, DictCodec
 from .decoding import greedy_decode
 from .embr import EmbrParams, edit_distance, embr_batch_grads
-from .embr import dev_risk  # noqa: F401 (re-exported)
 from .errors import ConfigError, DivergenceError, DomainError
 from .lattice import transducer_loss
 from .rng import SeededRng
@@ -71,6 +69,25 @@ class SgdMomentum:
             v *= self.momentum
             v -= (self.lr * scale) * g
             w += v
+
+
+def _update(optimizer: SgdMomentum, tensors: dict[str, np.ndarray], value_grads,
+            phase: str, step: str, value_name: str) -> float:
+    """Apply the batch's ``value_grads()`` to ``tensors``; DivergenceError on
+    a non-finite forward pass, a value that is non-finite or above 1e12, or
+    a tensor the update leaves non-finite."""
+    at = f"{step} (lr={optimizer.lr})"
+    try:
+        value, grads = value_grads()
+    except DomainError as e:
+        raise DivergenceError(f"{phase} (non-finite forward) at {at}: {e}") from e
+    if not np.isfinite(value) or value > 1e12:
+        raise DivergenceError(f"{phase} ({value_name}={value:.3e}) at {at}")
+    optimizer.step(tensors, grads)
+    bad = [name for name, t in tensors.items() if not np.isfinite(t).all()]
+    if bad:
+        raise DivergenceError(f"{phase} (non-finite {', '.join(bad)}) after the update of {at}")
+    return value
 
 
 def _loss_item(utt: Utterance, weights: ModelWeights, config: DecoderConfig):
@@ -128,16 +145,11 @@ def toy_corpus(config: DecoderConfig, task: ToyTaskSpec, hp: Hyperparams):
     return train_set, dev_set, hp.epochs * -(-len(train_set) // hp.batch_size)
 
 
-def train(
-    config: DecoderConfig,
-    task: ToyTaskSpec,
-    hp: Hyperparams,
-    metrics_path: str | None = None,
-) -> TrainResult:
+def train(config: DecoderConfig, task: ToyTaskSpec, hp: Hyperparams) -> TrainResult:
     """Train a fresh decoder (plus encoder stub) on the toy task.
 
-    Raises DivergenceError as soon as a batch loss, or an epoch's dev
-    decode, goes non-finite.
+    Raises DivergenceError as soon as a step fails ``_update``'s checks or
+    an epoch's dev decode goes non-finite.
     """
     train_set, dev_set, _ = toy_corpus(config, task, hp)
     rng = SeededRng(hp.seed)
@@ -155,34 +167,20 @@ def train(
         losses = []
         for start in range(0, len(order), hp.batch_size):
             batch = [train_set[int(i)] for i in order[start : start + hp.batch_size]]
-            try:
-                loss, grads = step_grads(
-                    [_loss_item(utt, weights, config) for utt in batch], weights, config)
-            except DomainError as e:
-                raise DivergenceError(
-                    f"diverged (non-finite forward) at epoch {epoch}, step {steps}: {e}"
-                ) from e
-            if not np.isfinite(loss) or loss > 1e12:
-                raise DivergenceError(
-                    f"diverged (loss={loss:.3e}) at epoch {epoch}, step {steps} (lr={hp.lr})"
-                )
-            optimizer.step(tensors, grads)
-            losses.append(loss)
+            items = [_loss_item(utt, weights, config) for utt in batch]
+            losses.append(_update(optimizer, tensors, lambda: step_grads(items, weights, config),
+                                  "diverged", f"epoch {epoch}, step {steps}", "loss"))
             steps += 1
         try:
             dev_ter = token_error_rate(dev_set, weights, config)
         except DomainError as e:  # an update left the network non-finite
             raise DivergenceError(f"diverged (non-finite dev decode) at epoch {epoch}: {e}") from e
-        entry = EpochMetrics(
+        metrics.append(EpochMetrics(
             epoch=epoch,
             loss=float(np.mean(losses)) if losses else 0.0,
             dev_token_error_rate=dev_ter,
             wall_s=time.perf_counter() - t0,
-        )
-        metrics.append(entry)
-        if metrics_path:
-            with open(metrics_path, "a") as fh:
-                fh.write(json.dumps(entry.to_dict(), sort_keys=True) + "\n")
+        ))
     return TrainResult(weights, metrics, steps, train_set, dev_set)
 
 
@@ -205,8 +203,7 @@ def embr_phase(
 
     Runs for ``params.steps`` updates, defaulting to one tenth of the main
     training step count.  Batches are drawn by deterministic shuffling.
-    Raises DivergenceError as soon as a batch risk or, after an update, a
-    trainable tensor goes non-finite.
+    Raises DivergenceError as soon as a step fails ``_update``'s checks.
     """
     steps = params.steps
     if steps <= 0:
@@ -223,16 +220,7 @@ def embr_phase(
             order.extend(int(i) for i in rng.permutation(len(train_set)))
         batch = [train_set[i] for i in order[: params.batch_size]]
         del order[: params.batch_size]
-        try:
-            risk, grads = embr_batch_grads(batch, weights, config, params)
-        except DomainError as e:
-            raise DivergenceError(f"EMBR diverged at step {step} (lr={params.lr}): {e}") from e
-        if not np.isfinite(risk):
-            raise DivergenceError(f"EMBR diverged (risk={risk}) at step {step} (lr={params.lr})")
-        optimizer.step(tensors, grads)
-        bad = [name for name, t in tensors.items() if not np.isfinite(t).all()]
-        if bad:
-            raise DivergenceError(f"EMBR diverged (non-finite {', '.join(bad)}) after the update "
-                                  f"of step {step} (lr={params.lr})")
-        step_risks.append(risk)
+        step_risks.append(_update(
+            optimizer, tensors, lambda: embr_batch_grads(batch, weights, config, params),
+            "EMBR diverged", f"step {step}", "risk"))
     return EmbrPhaseResult(weights, step_risks, 0, steps)

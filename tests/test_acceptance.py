@@ -34,12 +34,12 @@ from rnntdec import (
 from rnntdec.bench import bench_decoders
 from rnntdec.config import PRESET_NAMES
 from rnntdec.decoding import Hypothesis, beam_decode, window_code
-from rnntdec.embr import NBestList, utterance_risk, utterance_risk_grads
+from rnntdec.embr import NBestList, dev_risk, utterance_risk, utterance_risk_grads
 from rnntdec.mathops import log_softmax
 from rnntdec.model_io import read_archive
 from rnntdec.nets import prediction_forward
 from rnntdec.toy import Utterance, make_toy_dataset
-from rnntdec.train import EmbrParams, Hyperparams, dev_risk, embr_phase, train
+from rnntdec.train import EmbrParams, Hyperparams, embr_phase, train
 from rnntdec.weights import clone_weights, init_encoder_stub, trainable_tensors
 
 from helpers import (

@@ -20,8 +20,10 @@ from rnntdec import (
     prediction_forward,
     save,
 )
-from rnntdec.backprop import backprop_decoder, forward_grid, forward_windows, step_grads
+from rnntdec.backprop import backprop_decoder, forward_grid, step_grads
+from rnntdec.embr import utterance_risk
 from rnntdec.errors import ConfigError
+from rnntdec.toy import Utterance
 from rnntdec.weights import check_config
 
 from helpers import tiny_config
@@ -57,8 +59,8 @@ ENTRY_POINTS = {
     "beam_decode": lambda w, cfg, _: beam_decode(FRAMES, w, cfg, 2),
     "convert_to_lookup": lambda w, cfg, _: convert_to_lookup(w, cfg),
     "forward_grid": lambda w, cfg, _: forward_grid(FRAMES, [0, 1], w, cfg),
-    "forward_windows": lambda w, cfg, _: forward_windows(
-        FRAMES, np.full((2, MODEL_CFG.history_len), MODEL_CFG.pad_id), w, cfg),
+    "utterance_risk": lambda w, cfg, _: utterance_risk(
+        Utterance(FRAMES, [0, 1]), [(0, 1), (1,)], w, cfg),
     "backprop_decoder": _backprop,
     "step_grads": lambda w, cfg, _: step_grads(
         [(None, FRAMES, np.full((2, MODEL_CFG.history_len), MODEL_CFG.pad_id),

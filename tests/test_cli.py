@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -270,7 +273,6 @@ class TestPipeline:
         assert main(["decode", str(path), str(inp)]) == 3
         assert capsys.readouterr().err.startswith("error[corrupt]")
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_exit_code(self, tmp_path, capsys):
         doc = dict(TOY_CONFIG)
         doc["train"] = {"lr": 1e100, "momentum": 0.9, "batch_size": 4, "epochs": 1,
@@ -279,8 +281,6 @@ class TestPipeline:
         assert main(["train", cfg, str(tmp_path / "m.rnnt")]) == 5
         assert capsys.readouterr().err.startswith("error[divergence]")
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("grad_clip", [1.0, 0.0])
     def test_train_divergence_in_last_update_exit_code(self, tmp_path, capsys, grad_clip):
         # one step per epoch: the batch losses stay finite, and only the
@@ -294,8 +294,38 @@ class TestPipeline:
         assert "epoch 0" in err[0]
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_train_divergence_prints_one_stderr_line(self, tmp_path):
+        # in a process of its own: in-process capture would hide numpy's
+        # warnings, which python prints to the real stderr
+        doc = json.loads(TOY_REDUCED.read_text())
+        doc["train"] = dict(doc["train"], lr=1e300, epochs=1, batch_size=200)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "rnntdec.cli", "train", write(tmp_path, "diverge.json", doc),
+             str(tmp_path / "m.rnnt")], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 5
+        err = run.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error[divergence]: diverged"), err
+
+    def test_rerun_replaces_the_metrics_log(self, tmp_path, capsys):
+        model = tmp_path / "m.rnnt"
+        for _ in range(2):
+            assert main(["train", str(TOY_REDUCED), str(model)]) == 0
+        records = (tmp_path / "m.rnnt.metrics.jsonl").read_text().splitlines()
+        assert [json.loads(r)["epoch"] for r in records] == list(range(15))
+
+    def test_diverging_rerun_keeps_the_archive_and_log(self, tmp_path, capsys):
+        model = tmp_path / "m.rnnt"
+        assert main(["train", write(tmp_path, "toy.json", TOY_CONFIG), str(model)]) == 0
+        files = [model, tmp_path / "m.rnnt.metrics.jsonl"]
+        before = [f.read_bytes() for f in files]
+        doc = dict(TOY_CONFIG, train=dict(TOY_CONFIG["train"], lr=1e300, grad_clip=0.0))
+        assert main(["train", write(tmp_path, "diverge.json", doc), str(model)]) == 5
+        assert [f.read_bytes() for f in files] == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "diverge.json", "m.rnnt", "m.rnnt.metrics.jsonl", "toy.json"]
+
     def test_embr_divergence_exit_code(self, tmp_path, capsys):
         model = str(tmp_path / "m.rnnt")
         assert main(["train", write(tmp_path, "toy.json", TOY_CONFIG), model]) == 0

@@ -69,8 +69,9 @@ values = st.one_of(
 mutation_lists = st.lists(st.tuples(st.sampled_from(PATHS), values), min_size=1, max_size=2)
 
 
-def mutated(mutations):
-    doc = copy.deepcopy(BASE)
+def mutated(mutations, base=BASE):
+    """A copy of ``base`` with each (path, value) mutation applied in turn."""
+    doc = copy.deepcopy(base)
     for path, value in mutations:
         if not path:
             if value is not DELETE:

@@ -4,27 +4,29 @@ model archives.
 A mutated ``frames``/``features`` file, valid JSON or not, and UTF-8 or not,
 either decodes (exit 0) or fails with exit 2 and one ``error[schema]`` line;
 ``rnntdec decode`` never raises.  Flipped, truncated or spliced archive
-bytes either load or raise an ``RnntError``.
+bytes, and manifests with any value put anywhere in them, either load or
+raise an ``RnntError``, for model and lookup archives alike.
 """
 
 import contextlib
-import copy
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rnntdec import init_weights, load, save
+from rnntdec import convert_to_lookup, init_weights, load, load_lookup, save, save_lookup
 from rnntdec.cli import main
 from rnntdec.errors import RnntError
 from rnntdec.weights import init_encoder_stub
 
 from helpers import tiny_config
-from test_config_fuzz import DELETE, value_paths
+from test_config_fuzz import DELETE, mutated, value_paths
+from test_config_fuzz import values as config_values
 
 CFG = tiny_config(vocab_size=3, d_e=4, d_h=4, d_enc=4, tied=True, max_symbols_per_frame=3)
 D_FEAT = 3
@@ -46,6 +48,15 @@ def files(tmp_path_factory):
         models.append(str(root / f"{np.dtype(dtype).str[1:]}.rnnt"))
         save(w, CFG, models[-1])
     return models, str(root / "in.json")
+
+
+@pytest.fixture(scope="module")
+def archives(files):
+    """(path, loader) of the f4 model archive and of its lookup archive."""
+    models, inp = files
+    lookup = inp + ".lookup"
+    save_lookup(convert_to_lookup(*load(models[1])), lookup)
+    return [(models[1], load), (lookup, load_lookup)]
 
 
 scalars = st.one_of(
@@ -71,23 +82,8 @@ def input_files(draw):
     """Bytes of a mutated decode input: up to two JSON mutations of a valid
     input, then up to two byte splices, any bytes included."""
     base = draw(st.sampled_from(BASE_INPUTS))
-    doc = copy.deepcopy(base)
     paths = list(value_paths(base))
-    for path, value in draw(st.lists(st.tuples(st.sampled_from(paths), values), max_size=2)):
-        if not path:
-            if value is not DELETE:
-                doc = copy.deepcopy(value)
-            continue
-        try:
-            parent = doc
-            for key in path[:-1]:
-                parent = parent[key]
-            if value is DELETE:
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = copy.deepcopy(value)
-        except (KeyError, IndexError, TypeError):
-            pass  # an earlier mutation removed or replaced this path
+    doc = mutated(draw(st.lists(st.tuples(st.sampled_from(paths), values), max_size=2)), base)
     data = json.dumps(doc).encode("utf-8")
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(data)))
@@ -137,16 +133,36 @@ def edited(raw, edits):
     return raw
 
 
-@settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(edits=archive_edits)
-def test_edited_archive_loads_or_raises_rnnt_error(files, edits):
-    models, inp = files
-    with open(models[1], "rb") as fh:  # the f4 archive: half of it is manifest
-        raw = fh.read()
-    path = inp + ".rnnt"
+def loads_or_raises_rnnt_error(loader, raw, path):
     with open(path, "wb") as fh:
-        fh.write(edited(raw, edits))
+        fh.write(raw)
     try:
-        load(path)
+        loader(path)
     except RnntError:
         pass
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(edits=archive_edits, lookup=st.booleans())
+def test_edited_archive_loads_or_raises_rnnt_error(files, archives, edits, lookup):
+    source, loader = archives[lookup]  # the f4 model archive is half manifest
+    with open(source, "rb") as fh:
+        raw = fh.read()
+    loads_or_raises_rnnt_error(loader, edited(raw, edits), files[1] + ".edited")
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data(), lookup=st.booleans())
+def test_mutated_manifest_loads_or_raises_rnnt_error(files, archives, data, lookup):
+    """Any config-fuzz value anywhere in either archive kind's manifest."""
+    source, loader = archives[lookup]
+    with open(source, "rb") as fh:
+        raw = fh.read()
+    (length,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8 : 8 + length])
+    paths = st.sampled_from(list(value_paths(manifest)))
+    doc = mutated(data.draw(st.lists(st.tuples(paths, config_values), min_size=1, max_size=2)),
+                  manifest)
+    encoded = json.dumps(doc).encode("utf-8")
+    loads_or_raises_rnnt_error(
+        loader, struct.pack("<Q", len(encoded)) + encoded + raw[8 + length:], files[1] + ".mutated")

@@ -335,6 +335,27 @@ def test_non_finite_lookup_table_is_validation_error(tmp_path):
             load_lookup(path)
 
 
+def test_lookup_row_count_beyond_the_budget_is_capacity_exit(tmp_path, capsys):
+    # (V+1)^N = 6^10000 has more digits than Python converts to a string
+    cfg = tiny_config("lstm", vocab_size=5)
+    path = str(tmp_path / "m.rnnt")
+    save(init_weights(cfg, seed=4), cfg, path)
+    rewrite_manifest(path, lambda m: m["config"].update(history_len=10_000))
+    assert main(["convert-lookup", path, str(tmp_path / "t")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error[capacity]: lookup table needs (V+1)^N = 6^10000 entries, "
+                   "more than the budget of 1000000"]
+
+
+def test_lookup_row_count_beyond_the_stored_rows_is_validation_error(tmp_path):
+    cfg = tiny_config(vocab_size=3, history_len=2, num_heads=1)
+    path = str(tmp_path / "table")
+    save_lookup(convert_to_lookup(init_weights(cfg, seed=4), cfg), path)
+    rewrite_manifest(path, lambda m: m["config"].update(history_len=100_000))
+    with pytest.raises(ValidationError, match=r"stored with 16 rows, fewer than \(V\+1\)\^N = 4\^100000"):
+        load_lookup(path)
+
+
 # save() of models whose every tensor holds exactly representable values,
 # recorded before the tensor table replaced the per-variant save/load code:
 # key -> (sha256 of the archive, "name@offset:rowsxcols" in blob order).
