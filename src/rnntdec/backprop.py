@@ -10,11 +10,11 @@ only the last N labels, so the windows of the whole batch run through one
 batched ``nets.prediction_forward`` call (the decoder's own, so training
 scores exactly what decoding produces) and one prediction backward pass at
 the end, the LSTM's in lockstep.  In between, each utterance builds its
-grid from its rows, runs its objective and back-propagates it into the
-step's one gradient set: a name -> array dict keyed by the tensor table,
-where tied models accumulate the output-layer gradient into ``emb`` and the
-pad embedding row's gradient is zero.  ``forward_grid`` and
-``backprop_decoder`` are the same passes for one target's grid.
+grid from its rows (``forward_grid``), runs its objective and
+back-propagates it (``backprop_decoder``) into the step's one gradient set:
+a name -> array dict keyed by the tensor table, where tied models
+accumulate the output-layer gradient into ``emb`` and the pad embedding
+row's gradient is zero.
 
 Grid buffers of one utterance, each (T, W, width), every elementwise step
 done in place in one of them:
@@ -34,25 +34,14 @@ utterance's grids before it builds the next one's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import LSTM, REDUCED, DecoderConfig
-from .errors import DomainError, StateError
+from .errors import DomainError
 from .mathops import LN_EPS, sigmoid
 from .nets import prediction_forward
 from .toy import encode_backward
 from .weights import ModelWeights, check_config, get_tensor, specs_of
-
-
-@dataclass
-class ForwardCache:
-    frames: np.ndarray  # (T, d_enc)
-    ids: np.ndarray  # (W, N) history windows, recent first
-    g_stack: np.ndarray  # (W, pn_out)
-    pn: list  # what prediction_forward kept for backprop
-    hidden: np.ndarray | None  # (T, W, d_h); None once a backward pass used it
 
 
 def zero_grads(weights: ModelWeights) -> dict[str, np.ndarray]:
@@ -95,11 +84,11 @@ def _utterance_step(item, G, dG, weights, cfg, grads):
     """One utterance's grid, in a scope of its own so that its grids are
     freed before the next utterance's are built."""
     features, frames, _, objective = item
-    logits, hidden = _grid_forward(frames, G, weights)
+    logits, hidden = forward_grid(frames, G, weights)
     value, dlogits = objective(logits)
     del logits
     if dlogits is not None:
-        dG[...], dframes = _grid_backward(dlogits, hidden, frames, weights, cfg, grads)
+        dG[...], dframes = backprop_decoder(dlogits, hidden, frames, weights, cfg, grads)
         if weights.enc_stub is not None:
             encode_backward(features, dframes, grads)
     return value
@@ -116,17 +105,7 @@ def target_windows(target, config: DecoderConfig) -> np.ndarray:
     return padded[np.arange(len(labels) + 1)[:, None] + np.arange(n - 1, -1, -1)]
 
 
-def forward_grid(frames: np.ndarray, target, weights: ModelWeights, config: DecoderConfig):
-    """(logits (T, U+1, V+1), ForwardCache) over ``target``'s alignment grid."""
-    config = check_config(weights, config)
-    ids = target_windows(target, config)
-    pn: list = []
-    g_stack = prediction_forward(ids, weights, config, pn)
-    logits, hidden = _grid_forward(frames, g_stack @ weights.pred_w, weights)
-    return logits, ForwardCache(frames, ids, g_stack, pn, hidden)
-
-
-def _grid_forward(frames, G, weights):
+def forward_grid(frames, G, weights):
     """(logits, hidden) of every frame against every row of G = g @ pred_w."""
     F = frames @ weights.enc_w  # (T, d_h)
     hidden = np.add(F[:, None, :], G[None, :, :])
@@ -138,30 +117,10 @@ def _grid_forward(frames, G, weights):
     return logits, hidden
 
 
-def backprop_decoder(dlogits: np.ndarray, cache: ForwardCache, weights: ModelWeights,
-                     config: DecoderConfig):
-    """Chain dloss/dlogits back to every tensor.
-
-    Returns (grads, dframes): ``grads`` maps tensor names to gradients and
-    ``dframes`` is the gradient w.r.t. the encoder frames, for chaining into
-    an encoder.  The cache's ``hidden`` grid becomes scratch space, so a
-    second backward pass through the same cache raises StateError.
-    """
-    cfg = check_config(weights, config)
-    if cache is None:
-        raise StateError("backprop_decoder needs the cache from forward_grid")
-    if cache.hidden is None:
-        raise StateError("this forward cache was already used by a backward pass")
-    grads = zero_grads(weights)
-    hidden, cache.hidden = cache.hidden, None
-    dG, dframes = _grid_backward(dlogits, hidden, cache.frames, weights, cfg, grads)
-    _prediction_backward(dG, cache.g_stack, cache.ids, cache.pn, weights, cfg, grads)
-    return grads, dframes
-
-
-def _grid_backward(dlogits, hidden, frames, weights, cfg, grads):
+def backprop_decoder(dlogits, hidden, frames, weights, cfg, grads):
     """Accumulate one grid's output, joint and ``enc_w`` gradients; returns
-    the gradients w.r.t. G = g @ pred_w and the frames.  Uses up ``hidden``."""
+    the gradients w.r.t. G = g @ pred_w and the frames, as (dG, dframes).
+    Consumes ``hidden``: it is overwritten with ``1 - hidden**2``."""
     V = cfg.vocab_size
     out_full = np.concatenate([weights.out_w, weights.blank_w[None, :]], axis=0)
     d_out_full = dlogits.reshape(-1, V + 1).T @ hidden.reshape(-1, cfg.d_h)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backprop import _grid_forward, forward_grid, step_grads, target_windows
+from .backprop import forward_grid, step_grads, target_windows
 from .config import DecoderConfig, DictCodec
 from .decoding import Hypothesis, beam_decode, beam_decode_batch  # noqa: F401 (beam_decode re-exported)
 from .errors import DomainError
@@ -110,13 +110,6 @@ def embr_risk(nbest: NBestList, posterior_scale: float = 1.0) -> RiskResult:
     return RiskResult(risk, p, dist, dlp)
 
 
-def rescore_exact(frames: np.ndarray, labels, weights: ModelWeights, config: DecoderConfig):
-    """Exact marginal log P(labels | frames) plus the pieces for backprop."""
-    logits, cache = forward_grid(frames, labels, weights, config)
-    res = transducer_loss(logits, labels)
-    return -res.loss, res, cache
-
-
 def _distinct_windows(nbest_labels, config: DecoderConfig):
     """The distinct history windows of all candidates as a (W, N) id matrix,
     in order of first use, and each candidate's (U+1,) columns into it."""
@@ -129,9 +122,10 @@ def _distinct_windows(nbest_labels, config: DecoderConfig):
     return ids, cols
 
 
-def _nbest_scores(logits, cols, nbest_labels, reference, posterior_scale):
-    """Each candidate's LossResult over its own columns of the grid
-    ``logits``, and the RiskResult of the list."""
+def rescore_exact(logits, cols, nbest_labels, reference, posterior_scale):
+    """Exact rescoring of an n-best list over its grid ``logits``: each
+    candidate's LossResult over its own columns (log P(h) = -loss), and the
+    RiskResult of the list."""
     scored = [transducer_loss(logits[:, c], labels) for c, labels in zip(cols, nbest_labels)]
     entries = [Hypothesis(labels, -res.loss) for labels, res in zip(nbest_labels, scored)]
     return scored, embr_risk(NBestList(entries, tuple(reference)), posterior_scale)
@@ -143,7 +137,7 @@ def _risk_item(utt, frames, nbest_labels, weights, config, posterior_scale):
     ids, cols = _distinct_windows(nbest_labels, check_config(weights, config))
 
     def objective(logits):
-        scored, result = _nbest_scores(logits, cols, nbest_labels, utt.labels, posterior_scale)
+        scored, result = rescore_exact(logits, cols, nbest_labels, utt.labels, posterior_scale)
         if not result.dlog_prob.any():
             return result.risk, None
         # d(risk)/d(logits_h) = dlp * d(log P)/d(logits) = -dlp * dloss/dlogits,
@@ -164,8 +158,8 @@ def utterance_risk(utt: Utterance, nbest_labels: list[tuple[int, ...]], weights:
     """Risk of a fixed candidate set under the current weights (no gradient)."""
     ids, cols = _distinct_windows(nbest_labels, check_config(weights, config))
     G = prediction_forward(ids, weights, config) @ weights.pred_w
-    logits, _ = _grid_forward(frames_for(utt, weights), G, weights)
-    return _nbest_scores(logits, cols, nbest_labels, utt.labels, posterior_scale)[1].risk
+    logits, _ = forward_grid(frames_for(utt, weights), G, weights)
+    return rescore_exact(logits, cols, nbest_labels, utt.labels, posterior_scale)[1].risk
 
 
 def utterance_risk_grads(utt: Utterance, nbest_labels: list[tuple[int, ...]],

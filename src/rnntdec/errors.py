@@ -35,12 +35,6 @@ class CapacityError(RnntError):
     category = "capacity"
 
 
-class StateError(RnntError):
-    """An operation was called without the state it requires."""
-
-    category = "state"
-
-
 class ArchiveError(RnntError):
     """Base class for model-archive I/O failures."""
 

@@ -94,12 +94,13 @@ def prediction_forward(
     the N steps, oldest label first, each step only on the rows whose id
     there is not the pad, so an all-pad window yields the zero vector.
 
-    ``cache``, when given, is a list that receives what the backward pass
-    (``backprop.backprop_decoder``) needs from this call: for reduced, one
-    tuple ``(avg, z, y)`` of (n, ·) arrays, the head averages, projections
-    and LayerNorm outputs; for lstm, one ``(step, rows, cells)`` entry per
-    step that ran: its non-pad rows and each layer's ``lstm_cell``
-    activations; nothing for the two embedding variants.
+    ``cache``, when given, is a list that receives what the prediction
+    backward pass of a training or EMBR step (``backprop.step_grads``) needs
+    from this call: for reduced, one tuple ``(avg, z, y)`` of (n, ·) arrays,
+    the head averages, projections and LayerNorm outputs; for lstm, one
+    ``(step, rows, cells)`` entry per step that ran: its non-pad rows and
+    each layer's ``lstm_cell`` activations; nothing for the two embedding
+    variants.
     """
     config = check_config(weights, config)
     E = embed(ids, weights)  # (n, N, d_e); checks the ids' type, rank and range

@@ -44,6 +44,9 @@ class ToyTaskSpec(DictCodec):
             raise ConfigError("need 1 <= frames_per_label_min <= frames_per_label_max")
         if not 0 < self.dev_fraction < 1:
             raise ConfigError("dev_fraction must be in (0, 1)")
+        if round(self.dataset_size * self.dev_fraction) >= self.dataset_size:
+            raise ConfigError(f"dev_fraction {self.dev_fraction} of dataset_size "
+                              f"{self.dataset_size} leaves no training utterance")
 
 
 @dataclass

@@ -177,7 +177,7 @@ def train(config: DecoderConfig, task: ToyTaskSpec, hp: Hyperparams) -> TrainRes
             raise DivergenceError(f"diverged (non-finite dev decode) at epoch {epoch}: {e}") from e
         metrics.append(EpochMetrics(
             epoch=epoch,
-            loss=float(np.mean(losses)) if losses else 0.0,
+            loss=float(np.mean(losses)),
             dev_token_error_rate=dev_ter,
             wall_s=time.perf_counter() - t0,
         ))

@@ -7,7 +7,6 @@ from __future__ import annotations
 import numpy as np
 
 from rnntdec import DecoderConfig, SeededRng
-from rnntdec.backprop import backprop_decoder, forward_grid
 from rnntdec.lattice import transducer_loss
 from rnntdec.mathops import LN_EPS, log_softmax, logaddexp
 from rnntdec.nets import joint_forward, prediction_forward

@@ -16,8 +16,10 @@ import rnntdec.backprop
 import rnntdec.decoding
 import rnntdec.nets
 from rnntdec import SeededRng, beam_decode, prediction_forward
-from rnntdec.backprop import forward_grid
+from rnntdec.backprop import step_grads, target_windows
 from rnntdec.errors import DomainError
+from rnntdec.toy import Utterance
+from rnntdec.train import _loss_item, utterance_loss_grads
 from rnntdec.weights import get_tensor, init_weights, specs_of
 
 import helpers
@@ -132,13 +134,15 @@ class CallLog:
 
 @pytest.mark.parametrize("key", sorted(ROW_CONFIGS))
 def test_forward_grid_makes_one_prediction_call(key, monkeypatch):
+    # a step builds one grid per utterance from the rows of one batched call
     w, cfg, _ = row_cases(key, np.dtype("f8"))
-    log = CallLog(monkeypatch, (rnntdec.backprop, "prediction_forward"))
-    target = [1, 3, 0, 2, 2, 1, 0]
+    log = CallLog(monkeypatch, (rnntdec.backprop, "prediction_forward"),
+                  (rnntdec.backprop, "forward_grid"))
     frames = SeededRng(5).normal((4, cfg.d_enc))
-    _, cache = forward_grid(frames, target, w, cfg)
+    targets = ([1, 3, 0, 2, 2, 1, 0], [2], [0, 1, 1])
+    step_grads([_loss_item(Utterance(frames, t), w, cfg) for t in targets], w, cfg)
     assert log.count("prediction_forward") == 1
-    assert cache.g_stack.shape == (len(target) + 1, cfg.pn_out_dim)
+    assert log.count("forward_grid") == len(targets)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 15])
@@ -175,12 +179,17 @@ def test_lstm_pads_anywhere_are_skipped(dtype):
     np.testing.assert_array_equal(prediction_forward(batch, w, cfg), np.stack(expected))
 
 
-def test_forward_grid_rejects_ids_outside_the_vocabulary():
+def test_training_grid_rejects_ids_outside_the_vocabulary():
     w, cfg, _ = row_cases("reduced", np.dtype("f8"))
     frames = SeededRng(5).normal((4, cfg.d_enc))
     for target in ([0, cfg.pad_id], [-1], [cfg.vocab_ext]):
         with pytest.raises(DomainError):
-            forward_grid(frames, target, w, cfg)
+            utterance_loss_grads(Utterance(frames, target), w, cfg)
+    for bad in (-1, cfg.vocab_ext):
+        windows = target_windows([0, 1], cfg)
+        windows[-1, 0] = bad
+        with pytest.raises(DomainError):
+            step_grads([(None, frames, windows, lambda logits: (0.0, None))], w, cfg)
 
 
 class ScoredPairs:

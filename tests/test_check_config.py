@@ -20,7 +20,7 @@ from rnntdec import (
     prediction_forward,
     save,
 )
-from rnntdec.backprop import backprop_decoder, forward_grid, step_grads
+from rnntdec.backprop import step_grads
 from rnntdec.embr import utterance_risk
 from rnntdec.errors import ConfigError
 from rnntdec.toy import Utterance
@@ -45,11 +45,6 @@ CHANGES = {
 FRAMES = np.zeros((3, MODEL_CFG.d_enc))
 
 
-def _backprop(w, cfg, tmp_path):
-    logits, cache = forward_grid(FRAMES, [0, 1], w, w.config)
-    return backprop_decoder(np.ones_like(logits), cache, w, cfg)
-
-
 ENTRY_POINTS = {
     "prediction_forward": lambda w, cfg, _: prediction_forward(
         np.full((2, MODEL_CFG.history_len), MODEL_CFG.pad_id), w, cfg),
@@ -58,10 +53,8 @@ ENTRY_POINTS = {
     "greedy_decode": lambda w, cfg, _: greedy_decode(FRAMES, w, cfg),
     "beam_decode": lambda w, cfg, _: beam_decode(FRAMES, w, cfg, 2),
     "convert_to_lookup": lambda w, cfg, _: convert_to_lookup(w, cfg),
-    "forward_grid": lambda w, cfg, _: forward_grid(FRAMES, [0, 1], w, cfg),
     "utterance_risk": lambda w, cfg, _: utterance_risk(
         Utterance(FRAMES, [0, 1]), [(0, 1), (1,)], w, cfg),
-    "backprop_decoder": _backprop,
     "step_grads": lambda w, cfg, _: step_grads(
         [(None, FRAMES, np.full((2, MODEL_CFG.history_len), MODEL_CFG.pad_id),
           lambda logits: (0.0, None))], w, cfg),

@@ -187,6 +187,22 @@ class TestTrainEmbrRanges:
             assert err.startswith(f"error[schema]: {section}.{key}: must be finite")
         assert not (tmp_path / "t.rnnt").exists() and not (tmp_path / "e.rnnt").exists()
 
+    def test_dev_split_of_every_utterance_exits_schema(self, tmp_path, capsys):
+        # such a split used to train 0 steps and exit 0, after which embr
+        # failed with a raw ValueError traceback
+        doc = {**TOY_CONFIG, "task": {**TOY_CONFIG["task"], "dataset_size": 2, "dev_fraction": 0.9}}
+        cfg = write(tmp_path, "bad.json", doc)
+        model = str(tmp_path / "m.rnnt")
+        dec = tiny_config(vocab_size=3, d_e=8, d_h=8, d_enc=8)
+        save(all_blank_model(dec), dec, model)
+        for argv in (["train", cfg, str(tmp_path / "t.rnnt")],
+                     ["embr", cfg, model, str(tmp_path / "e.rnnt")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("error[schema]: task: dev_fraction 0.9 of dataset_size 2 leaves no")
+        assert not (tmp_path / "t.rnnt").exists() and not (tmp_path / "e.rnnt").exists()
+
 
 class TestPipeline:
     def test_train_decode_embr_lookup_round(self, tmp_path, capsys):

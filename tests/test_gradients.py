@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from rnntdec import DecoderConfig, SeededRng, init_weights
-from rnntdec.backprop import backprop_decoder, forward_grid
-from rnntdec.errors import StateError
+from rnntdec.backprop import forward_grid, target_windows
 from rnntdec.lattice import transducer_loss
 from rnntdec.toy import Utterance
 from rnntdec.train import utterance_loss_grads
@@ -115,13 +114,6 @@ def test_repeated_labels_accumulate():
     assert_grads_close({"emb": grads["emb"]}, numeric, rtol=1e-4, skip=skip)
 
 
-def test_missing_cache_is_state_error():
-    cfg = tiny_config()
-    w = init_weights(cfg, seed=0)
-    with pytest.raises(StateError):
-        backprop_decoder(np.zeros((1, 1, cfg.vocab_size + 1)), None, w, cfg)
-
-
 def test_grid_forward_matches_stepwise_joint():
     from rnntdec.nets import joint_forward, prediction_forward
 
@@ -129,7 +121,8 @@ def test_grid_forward_matches_stepwise_joint():
     w = init_weights(cfg, seed=4)
     frames = SeededRng(5).normal((3, cfg.d_enc))
     target = [0, 2]
-    logits, _ = forward_grid(frames, target, w, cfg)
+    G = prediction_forward(target_windows(target, cfg), w, cfg) @ w.pred_w
+    logits, _ = forward_grid(frames, G, w)
     window = (cfg.pad_id,) * cfg.history_len  # oldest label first
     for u in range(len(target) + 1):
         g = prediction_forward(np.array([window[::-1]]), w, cfg)[0]

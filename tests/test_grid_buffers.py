@@ -14,10 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rnntdec.backprop import backprop_decoder, forward_grid, step_grads, target_windows
+from rnntdec.backprop import step_grads, target_windows
 from rnntdec.embr import _distinct_windows, _risk_item, utterance_risk, utterance_risk_grads
-from rnntdec.errors import DomainError, StateError
-from rnntdec.lattice import transducer_loss
+from rnntdec.errors import DomainError
 from rnntdec.toy import Utterance, frames_for
 from rnntdec.train import _loss_item, utterance_loss_grads
 from rnntdec.weights import init_encoder_stub, init_weights
@@ -268,15 +267,18 @@ def test_gradient_peak_allocation_is_at_most_three_hidden_grids():
         assert peak <= 3 * hidden_grid, f"{name}: peak {peak / hidden_grid:.2f} hidden grids"
 
 
-def test_a_cache_serves_one_backward_pass_and_logits_stay_untouched():
+def test_logits_stay_untouched_by_the_loss_and_backward_pass():
     utt, w, cfg = grad_case("reduced", True, np.dtype("f8"), "toy")
-    logits, cache = forward_grid(frames_for(utt, w), utt.labels, w, cfg)
-    before = logits.copy()
-    result = transducer_loss(logits, utt.labels)
-    backprop_decoder(result.dlogits, cache, w, cfg)
+    features, frames, windows, loss = _loss_item(utt, w, cfg)
+    seen = []
+
+    def objective(logits):
+        seen.append((logits, logits.copy()))
+        return loss(logits)
+
+    step_grads([(features, frames, windows, objective)], w, cfg)
+    logits, before = seen[0]
     np.testing.assert_array_equal(logits, before)
-    with pytest.raises(StateError):
-        backprop_decoder(result.dlogits, cache, w, cfg)
 
 
 def test_an_nbest_grid_holds_each_window_once():

@@ -10,9 +10,11 @@ from rnntdec import (
     predict_single_head,
     prediction_forward,
 )
-from rnntdec.backprop import forward_grid
+import rnntdec.backprop
 from rnntdec.errors import ConfigError, DomainError, ShapeError
 from rnntdec.mathops import layer_norm, swish
+from rnntdec.toy import Utterance
+from rnntdec.train import utterance_loss_grads
 
 from helpers import tiny_config, tiny_model, window_of
 
@@ -185,14 +187,22 @@ class TestPredictionForward:
         assert prediction_forward(ids, tiny_model(cfg), cfg).shape == (0, cfg.pn_out_dim)
 
     @pytest.mark.parametrize("variant", ["reduced", "stateless1emb", "concat2emb", "lstm"])
-    def test_training_grid_uses_the_decoder_forward(self, variant):
+    def test_training_grid_uses_the_decoder_forward(self, variant, monkeypatch):
         # training must score exactly the prediction outputs decoding produces
         cfg = tiny_config(variant, tied=True)
         w = tiny_model(cfg, seed=4)
         target = [1, 3, 0, 2, 2, 1]
         frames = SeededRng(5).normal((4, cfg.d_enc))
-        _, cache = forward_grid(frames, target, w, cfg)
-        assert cache.g_stack.shape == (len(target) + 1, cfg.pn_out_dim)
+        outputs = []
+
+        def recorded(*args, **kwargs):
+            outputs.append(prediction_forward(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(rnntdec.backprop, "prediction_forward", recorded)
+        utterance_loss_grads(Utterance(frames, target), w, cfg)
+        (g_stack,) = outputs
+        assert g_stack.shape == (len(target) + 1, cfg.pn_out_dim)
         for u in range(len(target) + 1):
             np.testing.assert_array_equal(
-                cache.g_stack[u], prediction_forward(window(cfg, target[:u]), w, cfg)[0])
+                g_stack[u], prediction_forward(window(cfg, target[:u]), w, cfg)[0])
