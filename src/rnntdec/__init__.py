@@ -33,6 +33,7 @@ from .nets import (
     predict_multi_head,
     predict_single_head,
     prediction_forward,
+    project_prediction,
 )
 from .rng import SeededRng
 from .toy import ToyTaskSpec, Utterance, make_toy_dataset, toy_encode

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import DecoderConfig, DictCodec
 from .errors import ConfigError
-from .nets import joint_forward, prediction_forward
+from .nets import joint_forward, prediction_forward, project_prediction
 from .rng import SeededRng
 from .weights import ModelWeights
 
@@ -44,7 +44,7 @@ def make_step_fn(weights: ModelWeights, config: DecoderConfig, seed: int = 0):
         i = idx
         idx = (i + 1) % POOL_SIZE
         g = prediction_forward(windows[i], weights, config)[0]
-        return joint_forward(frames[i], g, weights, config)
+        return joint_forward(frames[i] @ weights.enc_w, project_prediction(g, weights), weights)
 
     return step
 

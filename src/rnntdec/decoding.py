@@ -3,8 +3,8 @@
 Both decoders are frame-synchronous: at each encoder frame a hypothesis may
 emit up to ``max_symbols_per_frame`` non-blank labels before a blank advances
 time.  The prediction network only sees the last N = ``history_len`` labels,
-so its outputs are cached per window: greedy's by the window tuple, beam
-search's by the window's code (``window_code``, the ``LookupTable`` index).
+so both decoders cache each window's projected prediction row by its code
+(``window_code``, the ``LookupTable`` index) and score via ``joint_forward``.
 Beam search scores each (frame, window) pair once and ends a frame once no
 later round can change its beam, so its n-best lists stay those of all
 rounds.  ``beam_decode_batch`` runs a batch's searches in lockstep, a tick
@@ -23,7 +23,7 @@ import numpy as np
 from .config import DecoderConfig
 from .errors import CapacityError, ConfigError, DomainError, ShapeError
 from .mathops import log_softmax, logaddexp
-from .nets import joint_forward, joint_tanh, output_logits, prediction_forward, project_prediction
+from .nets import joint_forward, prediction_forward, project_prediction
 from .weights import ModelWeights, check_config
 
 # windows per prediction call in ``convert_to_lookup``: a reduced batch holds
@@ -48,14 +48,22 @@ class GreedyResult:
     log_prob: float
 
 
-def _rows(table: dict, keys, compute) -> np.ndarray:
-    """``table``'s rows for ``keys``, stacked in key order.  The distinct
-    keys ``table`` lacks go through one ``compute(missing)`` call, whose
-    rows are stored."""
-    missing = [k for k in dict.fromkeys(keys) if k not in table]
+def _rows(cache: dict, codes, weights: ModelWeights, config: DecoderConfig) -> np.ndarray:
+    """``cache``'s projected rows for window ``codes``, stacked in code order.
+    The distinct codes ``cache`` lacks go through one ``_project`` call,
+    whose rows are stored."""
+    missing = [c for c in dict.fromkeys(codes) if c not in cache]
     if missing:
-        table.update(zip(missing, compute(missing)))
-    return np.array([table[k] for k in keys])
+        cache.update(zip(missing, _project(missing, weights, config)))
+    return np.array([cache[c] for c in codes])
+
+
+def _project(window_codes, weights: ModelWeights, config: DecoderConfig) -> np.ndarray:
+    """The projected prediction rows (``project_prediction``) of windows given
+    by code; digit k of a code, most significant first, is the window's k-th id."""
+    n, base = config.history_len, config.vocab_ext
+    ids = np.array([[c // base**k % base for k in range(n - 1, -1, -1)] for c in window_codes])
+    return project_prediction(prediction_forward(ids, weights, config), weights)
 
 
 def window_code(ids_recent_first, base: int) -> int:
@@ -85,17 +93,18 @@ def greedy_decode(
     A NaN log-prob raises DomainError.
     """
     config = _check_frames([enc_frames], weights, config)
-    pn: dict[tuple[int, ...], np.ndarray] = {}  # window -> prediction row
-    window = (config.pad_id,) * config.history_len  # oldest label first
-    g = prediction_forward(np.array([window]), weights, config)[0]
+    base, shift = config.vocab_ext, config.vocab_ext ** (config.history_len - 1)
+    code = window_code((config.pad_id,) * config.history_len, base)
+    pn: dict[int, np.ndarray] = {}  # window code -> projected prediction row
+    row = _project([code], weights, config)[0]
     labels: list[int] = []
     log_prob = 0.0
     blank = config.blank_id
-    for t in range(enc_frames.shape[0]):
-        f_t = enc_frames[t]
+    for f_t in enc_frames:
+        enc = f_t @ weights.enc_w
         emitted = 0
         while True:
-            logp = log_softmax(joint_forward(f_t, g, weights, config))
+            logp = log_softmax(joint_forward(enc, row, weights))
             k = int(np.argmax(logp))
             lp = float(logp[k])
             if lp != lp:  # argmax picks a row's first NaN, so this check covers the row
@@ -104,10 +113,10 @@ def greedy_decode(
             if k == blank:
                 break
             labels.append(k)
-            window = window[1:] + (k,)
-            g = pn.get(window)
-            if g is None:
-                g = pn[window] = prediction_forward(np.array([window[::-1]]), weights, config)[0]
+            code = k * shift + code // base
+            row = pn.get(code)
+            if row is None:
+                row = pn[code] = _project([code], weights, config)[0]
             emitted += 1
             if emitted >= config.max_symbols_per_frame:
                 break
@@ -124,21 +133,16 @@ def beam_decode(enc_frames: np.ndarray, weights: ModelWeights, config: DecoderCo
 def beam_decode_batch(frames_list: list[np.ndarray], weights: ModelWeights, config: DecoderConfig,
                       beam_width: int) -> list[list[Hypothesis]]:
     """Each utterance's ``beam_decode``, all searches in lockstep.  A tick serves
-    every search waiting for windows new to its frame: one ``_rows`` call into
-    the batch's prediction cache, then one joint call over the stacked rows,
-    each on its ``f_t @ enc_w`` (1-D when one search waits).  An f4 row stacked
-    with f8 rows would be computed in f8, so frames must share one dtype: a
-    wrong shape or dtype raises ShapeError naming the utterance, up front."""
+    every search waiting for windows new to its frame: one ``_projected_rows``
+    call into the batch's cache, then one ``joint_forward`` over the stacked
+    rows, each on its ``f_t @ enc_w`` (1-D when one search waits).  An f4 row
+    stacked with f8 rows would be computed in f8, so frames must share one
+    dtype: a wrong shape or dtype raises ShapeError naming the utterance, up
+    front."""
     config = _check_frames(frames_list, weights, config)
     if beam_width < 1:
         raise ConfigError(f"beam width must be >= 1, got {beam_width}")
-    n, base = config.history_len, config.vocab_ext
-    pn: dict[int, np.ndarray] = {}  # window code -> prediction row @ pred_w
-
-    def project(window_codes):  # digit k of a code, most significant first, is the window's k-th id
-        ids = np.array([[c // base**k % base for k in range(n - 1, -1, -1)] for c in window_codes])
-        return project_prediction(prediction_forward(ids, weights, config), weights)
-
+    pn: dict[int, np.ndarray] = {}  # window code -> projected prediction row
     nbests, logp = [None] * len(frames_list), None  # logp: the last tick's rows
     asks = [(i, _search(f, weights, config, beam_width), None, ()) for i, f in enumerate(frames_list)]
     while asks:  # an ask: (utterance, search, f_t @ enc_w, window codes)
@@ -155,7 +159,7 @@ def beam_decode_batch(frames_list: list[np.ndarray], weights: ModelWeights, conf
         if len(asks) > 1:
             codes = [code for ask in asks for code in ask[3]]
             enc = np.repeat([ask[2] for ask in asks], [len(ask[3]) for ask in asks], axis=0)
-        logp = log_softmax(output_logits(joint_tanh(enc, _rows(pn, codes, project), weights), weights))
+        logp = log_softmax(joint_forward(enc, _rows(pn, codes, weights, config), weights))
     return nbests
 
 

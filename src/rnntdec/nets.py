@@ -9,6 +9,9 @@ standing in for labels before the start; ``prediction_forward`` takes an
 window run alone, bit for bit, because batches use stacked vector-matrix
 products (never one matrix product, which rounds differently) and row-wise
 LayerNorm, Swish and LSTM gates.
+
+The joint runs on projections (``joint_forward``): a decoder projects each
+frame (``f_t @ enc_w``) and each window's output (``project_prediction``) once.
 """
 
 from __future__ import annotations
@@ -135,33 +138,19 @@ def prediction_forward(
     return hs[-1]
 
 
-def joint_hidden(
-    f_t: np.ndarray, g_u: np.ndarray, weights: ModelWeights
-) -> np.ndarray:
-    """tanh(W_enc f_t + W_pred g_u + b): the joint's last hidden layer.
-
-    ``g_u`` is one prediction output (d_pn,) or a batch (n, d_pn) that all
-    meet the same frame.
-    """
-    if f_t.shape != (weights.enc_w.shape[0],):
-        raise ShapeError(f"encoder frame {f_t.shape} != ({weights.enc_w.shape[0]},)")
-    if g_u.ndim not in (1, 2) or g_u.shape[-1] != weights.pred_w.shape[0]:
-        raise ShapeError(
-            f"prediction output {g_u.shape} != ([n,] {weights.pred_w.shape[0]})"
-        )
-    return joint_tanh(f_t @ weights.enc_w, project_prediction(g_u, weights), weights)
-
-
 def project_prediction(g_u: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """W_pred g_u of one prediction output or of a batch (n, d_pn), as stacked
-    vector-matrix products, so every row is the single-vector result."""
+    """W_pred g_u of one prediction output (d_pn,) or of a batch (n, d_pn), as
+    stacked vector-matrix products, so every row is the single-vector result."""
+    if g_u.ndim not in (1, 2) or g_u.shape[-1] != weights.pred_w.shape[0]:
+        raise ShapeError(f"prediction output {g_u.shape} != ([n,] {weights.pred_w.shape[0]})")
     if g_u.ndim == 1:
         return g_u @ weights.pred_w
     return np.matmul(g_u[:, None, :], weights.pred_w)[:, 0, :]
 
 
-def joint_tanh(enc_proj: np.ndarray, pred_proj: np.ndarray, weights: ModelWeights) -> np.ndarray:
-    """The joint's hidden layer from ``f_t @ enc_w`` and ``project_prediction``."""
+def joint_hidden(enc_proj: np.ndarray, pred_proj: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """tanh(enc_proj + pred_proj + b), the joint's last hidden layer, from a
+    projected frame ``f_t @ enc_w`` and ``project_prediction`` rows."""
     return np.tanh(enc_proj + pred_proj + weights.joint_b)
 
 
@@ -185,10 +174,11 @@ def output_logits(h: np.ndarray, weights: ModelWeights) -> np.ndarray:
     return logits
 
 
-def joint_forward(
-    f_t: np.ndarray, g_u: np.ndarray, weights: ModelWeights, config: DecoderConfig
-) -> np.ndarray:
-    """Full joint network: combine one encoder frame with one PN output,
-    or with a batch (n, d_pn) of them to give (n, V+1) logits."""
-    check_config(weights, config)
-    return output_logits(joint_hidden(f_t, g_u, weights), weights)
+def joint_forward(enc_proj: np.ndarray, pred_proj: np.ndarray, weights: ModelWeights) -> np.ndarray:
+    """The joint network on projections: (V+1,) logits of one frame ``f_t @ enc_w``
+    and one ``project_prediction`` row, or (n, V+1) logits when either operand
+    is a batch (n, d_h), row against row.  Each operand is (d_h,) or (n, d_h)."""
+    h = weights.joint_b.shape  # (d_h,)
+    if enc_proj.shape[-1:] != h or pred_proj.shape[-1:] != h or enc_proj.ndim > 2 or pred_proj.ndim > 2:
+        raise ShapeError(f"joint operands {enc_proj.shape}, {pred_proj.shape} != ([n,] {h[0]})")
+    return output_logits(joint_hidden(enc_proj, pred_proj, weights), weights)

@@ -29,7 +29,7 @@ class BenchConfig(DictCodec):
     decoders: list = None  # list of (name, DecoderConfig)
 
     def __post_init__(self):
-        self.check_min(runs=1)
+        self.check_min(runs=1, warmup=0)
         if self.dtype not in ("f4", "f8"):
             raise ConfigError(f"bench.dtype must be 'f4' or 'f8', got {self.dtype!r}")
         if self.decoders is None:

@@ -9,7 +9,7 @@ import numpy as np
 from rnntdec import DecoderConfig, SeededRng
 from rnntdec.lattice import transducer_loss
 from rnntdec.mathops import LN_EPS, log_softmax, logaddexp
-from rnntdec.nets import joint_forward, prediction_forward
+from rnntdec.nets import joint_forward, prediction_forward, project_prediction
 from rnntdec.toy import Utterance, encode_backward
 from rnntdec.train import utterance_loss_grads
 from rnntdec.weights import init_encoder_stub, init_weights, trainable_tensors
@@ -44,6 +44,14 @@ def window_of(labels, config) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+
+def step_log_probs(f_t, labels, weights, config) -> np.ndarray:
+    """Log-probs of one decode step at frame ``f_t`` after ``labels``,
+    computed from scratch: the prediction network on the step's own window,
+    then the joint on the projected frame and prediction output."""
+    g = prediction_forward(np.array([window_of(labels, config)[::-1]]), weights, config)[0]
+    return log_softmax(joint_forward(f_t @ weights.enc_w, project_prediction(g, weights), weights))
 
 
 def masked_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -176,6 +184,24 @@ def dp_edit_distance(hyp, ref) -> int:
     return prev[-1]
 
 
+def naive_greedy_decode(frames, weights, config) -> tuple[list[int], float]:
+    """Greedy decoding one step at a time (``step_log_probs``, no cache):
+    at each frame, up to ``max_symbols_per_frame`` argmax steps, each either
+    a blank that ends the frame or a label that is emitted.  Returns the
+    labels and the sum of the chosen log-probs, in step order."""
+    labels: list[int] = []
+    log_prob = 0.0
+    for f_t in frames:
+        for _ in range(config.max_symbols_per_frame):
+            logp = step_log_probs(f_t, labels, weights, config)
+            k = int(np.argmax(logp))
+            log_prob += float(logp[k])
+            if k == config.blank_id:
+                break
+            labels.append(k)
+    return labels, log_prob
+
+
 def naive_beam_decode(frames, weights, config, beam_width) -> list[tuple[tuple[int, ...], float]]:
     """Beam search one hypothesis and one vocabulary label at a time.
 
@@ -186,13 +212,6 @@ def naive_beam_decode(frames, weights, config, beam_width) -> list[tuple[tuple[i
     Returns the n-best ``(labels, log_prob)`` pairs sorted like ``beam_decode``.
     """
     blank = config.blank_id
-    pn_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def g_of(labels):
-        window = window_of(labels, config)
-        if window not in pn_cache:
-            pn_cache[window] = prediction_forward(np.array([window[::-1]]), weights, config)[0]
-        return pn_cache[window]
 
     def top_b(d):
         if len(d) <= beam_width:
@@ -206,7 +225,7 @@ def naive_beam_decode(frames, weights, config, beam_width) -> list[tuple[tuple[i
         for round_idx in range(config.max_symbols_per_frame + 1):
             extended = {}
             for labels, lp in frontier.items():
-                logp = log_softmax(joint_forward(frames[t], g_of(labels), weights, config))
+                logp = step_log_probs(frames[t], labels, weights, config)
                 blank_lp = lp + float(logp[blank])
                 prev = next_beams.get(labels)
                 next_beams[labels] = blank_lp if prev is None else logaddexp(prev, blank_lp)
@@ -229,20 +248,13 @@ def enumerate_decode_paths(frames, weights, config) -> dict[tuple[int, ...], flo
     probabilities per label sequence in the log domain.
     """
     blank = config.blank_id
-    pn_cache: dict[tuple[int, ...], np.ndarray] = {}
     seqs: dict[tuple[int, ...], float] = {}
-
-    def g_of(labels):
-        window = window_of(labels, config)
-        if window not in pn_cache:
-            pn_cache[window] = prediction_forward(np.array([window[::-1]]), weights, config)[0]
-        return pn_cache[window]
 
     def rec(t, labels, emitted, lp):
         if t == frames.shape[0]:
             seqs[labels] = np.logaddexp(seqs[labels], lp) if labels in seqs else lp
             return
-        logp = log_softmax(joint_forward(frames[t], g_of(labels), weights, config))
+        logp = step_log_probs(frames[t], labels, weights, config)
         rec(t + 1, labels, 0, lp + float(logp[blank]))
         if emitted < config.max_symbols_per_frame:
             for v in range(config.vocab_size):

@@ -193,24 +193,20 @@ def test_training_grid_rejects_ids_outside_the_vocabulary():
 
 
 class ScoredPairs:
-    """Rebinds ``prediction_forward`` and the joint in one module to record
-    which (frame index, history window) pairs reach the joint.
-
-    The naive search calls ``joint_forward(f_t, g)``; beam search calls
-    ``joint_tanh(f_t @ enc_w, project_prediction(g))``, so for it the frame
+    """Rebinds ``prediction_forward``, ``project_prediction`` and
+    ``joint_forward`` in one module to record which (frame index, history
+    window) pairs reach the joint.  Both the naive search and beam search
+    call ``joint_forward(f_t @ enc_w, project_prediction(g))``, so the frame
     is recovered from its projection and the window through the projection
     of its prediction output.  Every distinct window must have given
     distinct output bytes."""
 
-    def __init__(self, monkeypatch, module, frames, weights=None):
-        projected = weights is not None
-        self.frames = {(f @ weights.enc_w if projected else f).tobytes(): t for t, f in enumerate(frames)}
+    def __init__(self, monkeypatch, module, frames, weights):
+        self.frames = {(f @ weights.enc_w).tobytes(): t for t, f in enumerate(frames)}
         self.window_of = {}
         self.pairs = []
         self.call_frames = []  # the frame index of each joint call
-        pf = module.prediction_forward
-        joint_name = "joint_tanh" if projected else "joint_forward"
-        jf = getattr(module, joint_name)
+        pf, proj, jf = module.prediction_forward, module.project_prediction, module.joint_forward
 
         def note(rows, windows):
             for window, row in zip(windows, rows):
@@ -221,36 +217,33 @@ class ScoredPairs:
             note(out, map(tuple, history.tolist()))
             return out
 
-        def joint(f_t, g_u, *args, **kwargs):
-            t = self.frames[f_t.tobytes()]
+        def projection(g, *args, **kwargs):
+            out = proj(g, *args, **kwargs)
+            note(np.atleast_2d(out), [self.window_of[row.tobytes()] for row in np.atleast_2d(g)])
+            return out
+
+        def joint(enc, pred, *args, **kwargs):
+            t = self.frames[enc.tobytes()]
             self.call_frames.append(t)
-            self.pairs += [(t, self.window_of[g.tobytes()]) for g in np.atleast_2d(g_u)]
-            return jf(f_t, g_u, *args, **kwargs)
+            self.pairs += [(t, self.window_of[p.tobytes()]) for p in np.atleast_2d(pred)]
+            return jf(enc, pred, *args, **kwargs)
 
         monkeypatch.setattr(module, "prediction_forward", prediction)
-        monkeypatch.setattr(module, joint_name, joint)
-        if projected:
-            proj = module.project_prediction
-
-            def projection(g, *args, **kwargs):
-                out = proj(g, *args, **kwargs)
-                note(out, [self.window_of[row.tobytes()] for row in g])
-                return out
-
-            monkeypatch.setattr(module, "project_prediction", projection)
+        monkeypatch.setattr(module, "project_prediction", projection)
+        monkeypatch.setattr(module, "joint_forward", joint)
 
 
 @pytest.mark.parametrize("key", ["reduced", "lstm"])
 def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
     w, cfg, _ = row_cases(key, np.dtype("f8"))
     frames = SeededRng(6).normal((5, cfg.d_enc))
-    naive = ScoredPairs(monkeypatch, helpers, frames)
+    naive = ScoredPairs(monkeypatch, helpers, frames, w)
     naive_beam_decode(frames, w, cfg, 3)
     scored = ScoredPairs(monkeypatch, rnntdec.decoding, frames, w)
     # a round ends by choosing the next frontier, and a frame by pruning its
     # beam, either after its last round or once the exit rule holds ("exit")
     log = CallLog(monkeypatch, (rnntdec.decoding, "prediction_forward"),
-                  (rnntdec.decoding, "joint_tanh"), (rnntdec.decoding, "_best_extensions"),
+                  (rnntdec.decoding, "joint_forward"), (rnntdec.decoding, "_best_extensions"),
                   (rnntdec.decoding, "_top_b"))
     settled = rnntdec.decoding._frame_settled
 
@@ -274,7 +267,7 @@ def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
         for calls in rounds[:len(rounds) - exited]:
             # a window the cache has not seen is not yet scored at this frame
             # either, so a prediction call is always followed by a joint call
-            assert calls.split() in ([], ["joint_tanh"], ["prediction_forward", "joint_tanh"])
+            assert calls.split() in ([], ["joint_forward"], ["prediction_forward", "joint_forward"])
             if calls.split():
                 assert next(joint_frames) == t
     assert next(joint_frames, None) is None
@@ -285,9 +278,9 @@ def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
 
 
 class LockstepTicks:
-    """Rebinds ``prediction_forward``, ``project_prediction`` and the joint
-    (``joint_tanh``, ``output_logits``, ``log_softmax``) in the decoding
-    module, to log the calls of ``beam_decode_batch`` and record the
+    """Rebinds ``prediction_forward``, ``project_prediction``, the joint
+    (``joint_forward`` and the ``output_logits`` it calls) and
+    ``log_softmax``, to log the calls of ``beam_decode_batch`` and record the
     (utterance, frame index, window) triple of every joint row.  A row's
     frame is recovered from its ``f_t @ enc_w`` row, its window from its
     projected prediction row; distinct frames and windows must give
@@ -301,9 +294,9 @@ class LockstepTicks:
         self.window_of = {}
         self.predicted = []  # every window sent to the prediction network
         self.triples = []
-        self.log = CallLog(monkeypatch, (rnntdec.decoding, "output_logits"), (rnntdec.decoding, "log_softmax"))
-        pf, proj, jt = (rnntdec.decoding.prediction_forward, rnntdec.decoding.project_prediction,
-                        rnntdec.decoding.joint_tanh)
+        self.log = CallLog(monkeypatch, (rnntdec.nets, "output_logits"), (rnntdec.decoding, "log_softmax"))
+        pf, proj, jf = (rnntdec.decoding.prediction_forward, rnntdec.decoding.project_prediction,
+                        rnntdec.decoding.joint_forward)
 
         def note(rows, windows):
             for window, row in zip(windows, rows):
@@ -323,14 +316,14 @@ class LockstepTicks:
             return out
 
         def joint(enc, pred, *args, **kwargs):
-            self.log.events.append("joint_tanh")
+            self.log.events.append("joint_forward")
             for e, p in zip(np.broadcast_to(enc, pred.shape), pred):
                 self.triples.append((*self.frame_of[e.tobytes()], self.window_of[p.tobytes()]))
-            return jt(enc, pred, *args, **kwargs)
+            return jf(enc, pred, *args, **kwargs)
 
         monkeypatch.setattr(rnntdec.decoding, "prediction_forward", prediction)
         monkeypatch.setattr(rnntdec.decoding, "project_prediction", projection)
-        monkeypatch.setattr(rnntdec.decoding, "joint_tanh", joint)
+        monkeypatch.setattr(rnntdec.decoding, "joint_forward", joint)
 
 
 @pytest.mark.parametrize("key", ["reduced", "lstm"])
@@ -344,9 +337,9 @@ def test_each_lockstep_tick_makes_one_joint_call(key, monkeypatch):
         with monkeypatch.context() as m:
             spy = LockstepTicks(m, [frames], w)
             nbest = beam_decode(frames, w, cfg, 3)
-            alone.append((nbest, spy.log.count("joint_tanh")))
+            alone.append((nbest, spy.log.count("joint_forward")))
         with monkeypatch.context() as m:
-            pairs = ScoredPairs(m, helpers, frames)
+            pairs = ScoredPairs(m, helpers, frames, w)
             naive_beam_decode(frames, w, cfg, 3)
             naive |= {(u, t, window) for t, window in pairs.pairs}
     spy = LockstepTicks(monkeypatch, frames_list, w)
@@ -356,10 +349,10 @@ def test_each_lockstep_tick_makes_one_joint_call(key, monkeypatch):
     # ticks as its longest search asks, and each tick is one joint call
     # after at most one prediction call
     ticks = max(calls for _, calls in alone)
-    assert spy.log.count("joint_tanh") == spy.log.count("output_logits") == spy.log.count("log_softmax") == ticks
+    assert spy.log.count("joint_forward") == spy.log.count("output_logits") == spy.log.count("log_softmax") == ticks
     between = " ".join(e for e in spy.log.events if e != "output_logits" and e != "log_softmax")
-    assert all(calls.split() in ([], ["prediction_forward"]) for calls in between.split("joint_tanh"))
-    assert between.split("joint_tanh")[-1].split() == []
+    assert all(calls.split() in ([], ["prediction_forward"]) for calls in between.split("joint_forward"))
+    assert between.split("joint_forward")[-1].split() == []
     # each triple is scored once, and only triples the naive searches score;
     # no window reaches the prediction network twice
     assert len(spy.triples) == len(set(spy.triples))

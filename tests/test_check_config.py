@@ -16,7 +16,6 @@ from rnntdec import (
     convert_to_lookup,
     greedy_decode,
     init_weights,
-    joint_forward,
     prediction_forward,
     save,
 )
@@ -48,8 +47,6 @@ FRAMES = np.zeros((3, MODEL_CFG.d_enc))
 ENTRY_POINTS = {
     "prediction_forward": lambda w, cfg, _: prediction_forward(
         np.full((2, MODEL_CFG.history_len), MODEL_CFG.pad_id), w, cfg),
-    "joint_forward": lambda w, cfg, _: joint_forward(
-        np.zeros(MODEL_CFG.d_enc), np.zeros(MODEL_CFG.pn_out_dim), w, cfg),
     "greedy_decode": lambda w, cfg, _: greedy_decode(FRAMES, w, cfg),
     "beam_decode": lambda w, cfg, _: beam_decode(FRAMES, w, cfg, 2),
     "convert_to_lookup": lambda w, cfg, _: convert_to_lookup(w, cfg),

@@ -513,3 +513,11 @@ class TestBench:
     def test_bench_requires_decoders(self, tmp_path, capsys):
         cfg = write(tmp_path, "bench.json", {"bench": {"runs": 5, "decoders": []}})
         assert main(["bench", cfg]) == 2
+
+    def test_negative_warmup_exits_schema(self, tmp_path, capsys):
+        # a negative warm-up used to run no warm-up steps and exit 0
+        cfg = write(tmp_path, "bench.json", {"bench": {"runs": 5, "warmup": -5, "decoders": ["lstm"]}})
+        assert main(["bench", cfg]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error[schema]: ")
+        assert "warmup must be >= 0, got -5" in lines[0]

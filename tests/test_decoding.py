@@ -21,12 +21,14 @@ from rnntdec.bench import bench_decoders
 from rnntdec.decoding import _frame_settled, window_code
 from rnntdec.errors import CapacityError, ConfigError, DomainError, ShapeError
 from rnntdec.mathops import log_softmax
-from rnntdec.nets import joint_forward
+from rnntdec.nets import joint_forward, project_prediction
 
+import helpers
 from helpers import (
     all_blank_model,
     enumerate_decode_paths,
     naive_beam_decode,
+    naive_greedy_decode,
     one_label_then_blank_model,
     tiny_config,
 )
@@ -60,9 +62,10 @@ class TestGreedy:
         assert res.labels == []
         # four blank steps on the fresh history, summed in frame order
         g = prediction_forward(np.array([[cfg.pad_id] * cfg.history_len]), w, cfg)[0]
+        row = project_prediction(g, w)
         expected = 0.0
         for f_t in frames:
-            expected += float(log_softmax(joint_forward(f_t, g, w, cfg))[cfg.blank_id])
+            expected += float(log_softmax(joint_forward(f_t @ w.enc_w, row, w))[cfg.blank_id])
         assert res.log_prob == expected
 
     def test_no_frames(self):
@@ -88,10 +91,11 @@ class TestGreedy:
         # hand-accumulated log-prob over the three argmax steps
         pads = [cfg.pad_id] * (cfg.history_len - 1)
         g0 = prediction_forward(np.array([[cfg.pad_id] + pads]), w, cfg)[0]
-        lp = log_softmax(joint_forward(frames[0], g0, w, cfg))[0]
         g1 = prediction_forward(np.array([[0] + pads]), w, cfg)[0]  # label 0 most recent
-        lp += log_softmax(joint_forward(frames[0], g1, w, cfg))[cfg.blank_id]
-        lp += log_softmax(joint_forward(frames[1], g1, w, cfg))[cfg.blank_id]
+        (f0, f1), r0, r1 = frames @ w.enc_w, project_prediction(g0, w), project_prediction(g1, w)
+        lp = log_softmax(joint_forward(f0, r0, w))[0]
+        lp += log_softmax(joint_forward(f0, r1, w))[cfg.blank_id]
+        lp += log_softmax(joint_forward(f1, r1, w))[cfg.blank_id]
         np.testing.assert_allclose(res.log_prob, lp, atol=1e-12)
 
     def test_symbol_cap_terminates(self):
@@ -132,8 +136,9 @@ class TestBeam:
         assert nbest[0].labels == ()
         expected = 0.0
         g = prediction_forward(np.array([[cfg.pad_id] * cfg.history_len]), w, cfg)[0]
+        row = project_prediction(g, w)
         for t in range(3):
-            expected += log_softmax(joint_forward(frames[t], g, w, cfg))[cfg.blank_id]
+            expected += log_softmax(joint_forward(frames[t] @ w.enc_w, row, w))[cfg.blank_id]
         np.testing.assert_allclose(nbest[0].log_prob, expected, atol=1e-12)
 
     def test_matches_exhaustive_enumeration(self):
@@ -303,8 +308,8 @@ class TestFrameMemo:
         # with V = 2-3 and N <= 2 a frame meets few windows in many rounds
         rng = np.random.default_rng(77)
         joint_calls = []
-        joint = rnntdec.decoding.joint_tanh  # the joint beam search calls
-        monkeypatch.setattr(rnntdec.decoding, "joint_tanh",
+        joint = rnntdec.decoding.joint_forward
+        monkeypatch.setattr(rnntdec.decoding, "joint_forward",
                             lambda *a: joint_calls.append(1) or joint(*a))
         rounds = 0
         for trial in range(24):
@@ -510,6 +515,40 @@ class TestLockstep:
         w.out_w[0, 0] = np.nan
         with pytest.raises(DomainError):
             beam_decode_batch([frames[:1], frames], w, cfg, 1)
+
+
+class TestGreedyOracle:
+    """``greedy_decode`` reads projected rows from a cache keyed by window
+    code; ``naive_greedy_decode`` runs every step from scratch, so ``==``
+    against it checks every push, cache read and log-prob sum."""
+
+    @pytest.mark.parametrize("mode", sorted(DTYPE_MODES))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bit_identical_to_naive_greedy(self, variant, mode, monkeypatch):
+        w_dtype, f_dtype = DTYPE_MODES[mode]
+        steps = []  # joint calls: one per greedy step, in both decoders
+        for module in (rnntdec.decoding, helpers):
+            joint = module.joint_forward
+            monkeypatch.setattr(module, "joint_forward",
+                                lambda *a, module=module, joint=joint: steps.append(module) or joint(*a))
+        rng = np.random.default_rng(VARIANTS.index(variant))
+        cap_hits = 0
+        for trial in range(30):
+            cfg = random_variant_config(variant, rng, vocab_size=int(rng.integers(2, 6)),
+                                        max_symbols_per_frame=int(rng.integers(1, 5)))
+            w = init_weights(cfg, seed=trial, dtype=w_dtype)
+            w.out_b[cfg.blank_id] += (-4.0, 0.0, 4.0)[trial % 3]  # from label runs to mostly blanks
+            T = trial % 6
+            frames = (2.0 * rng.standard_normal((T, cfg.d_enc))).astype(f_dtype)
+            steps.clear()
+            res = greedy_decode(frames, w, cfg)
+            labels, log_prob = naive_greedy_decode(frames, w, cfg)
+            assert (res.labels, res.log_prob) == (labels, log_prob), f"trial {trial}"
+            assert type(res.log_prob) is float
+            calls = steps.count(rnntdec.decoding)
+            assert calls == steps.count(helpers)
+            cap_hits += T + len(labels) - calls  # a frame cut short by the cap takes no blank step
+        assert cap_hits > 0
 
 
 class TestLookup:

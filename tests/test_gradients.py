@@ -115,7 +115,7 @@ def test_repeated_labels_accumulate():
 
 
 def test_grid_forward_matches_stepwise_joint():
-    from rnntdec.nets import joint_forward, prediction_forward
+    from rnntdec.nets import joint_forward, prediction_forward, project_prediction
 
     cfg = tiny_config("lstm")
     w = init_weights(cfg, seed=4)
@@ -128,7 +128,7 @@ def test_grid_forward_matches_stepwise_joint():
         g = prediction_forward(np.array([window[::-1]]), w, cfg)[0]
         for t in range(3):
             np.testing.assert_allclose(
-                logits[t, u], joint_forward(frames[t], g, w, cfg), atol=1e-12
+                logits[t, u], joint_forward(frames[t] @ w.enc_w, project_prediction(g, w), w), atol=1e-12
             )
         if u < len(target):
             window = window[1:] + (target[u],)

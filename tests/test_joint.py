@@ -3,13 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rnntdec import SeededRng, init_weights, joint_forward, output_logits
+from rnntdec import SeededRng, init_weights, joint_forward, output_logits, project_prediction
 from rnntdec.errors import ShapeError
 from rnntdec.mathops import log_softmax
-from rnntdec.nets import joint_hidden
 from rnntdec.weights import trainable_tensors
 
 from helpers import tiny_config, tiny_model
+
+
+def joint(f_t, g_u, w):
+    """The joint on a raw frame and raw prediction output(s)."""
+    return joint_forward(f_t @ w.enc_w, project_prediction(g_u, w), w)
 
 
 def test_zero_model_gives_uniform_distribution():
@@ -17,7 +21,7 @@ def test_zero_model_gives_uniform_distribution():
     w = tiny_model(cfg)
     for t in trainable_tensors(w).values():
         t[:] = 0.0
-    logits = joint_forward(np.ones(cfg.d_enc), np.ones(cfg.pn_out_dim), w, cfg)
+    logits = joint(np.ones(cfg.d_enc), np.ones(cfg.pn_out_dim), w)
     np.testing.assert_array_equal(logits, np.zeros(cfg.vocab_size + 1))
     np.testing.assert_allclose(
         np.exp(log_softmax(logits)), np.full(cfg.vocab_size + 1, 1.0 / (cfg.vocab_size + 1)), atol=1e-12
@@ -45,9 +49,7 @@ def test_tied_equals_untied_with_copied_output_rows():
     rng = SeededRng(3)
     f = rng.normal(tied_cfg.d_enc)
     g = rng.normal(tied_cfg.pn_out_dim)
-    np.testing.assert_array_equal(
-        joint_forward(f, g, tied, tied_cfg), joint_forward(f, g, untied, untied_cfg)
-    )
+    np.testing.assert_array_equal(joint(f, g, tied), joint(f, g, untied))
 
 
 def test_blank_is_last_and_uses_blank_row():
@@ -76,9 +78,11 @@ def test_dim_mismatch():
     cfg = tiny_config()
     w = tiny_model(cfg)
     with pytest.raises(ShapeError):
-        joint_hidden(np.zeros(cfg.d_enc + 1), np.zeros(cfg.pn_out_dim), w)
+        joint_forward(np.zeros(cfg.d_h + 1), np.zeros(cfg.d_h), w)
     with pytest.raises(ShapeError):
-        joint_hidden(np.zeros(cfg.d_enc), np.zeros(cfg.pn_out_dim + 1), w)
+        joint_forward(np.zeros(cfg.d_h), np.zeros(cfg.d_h + 1), w)
+    with pytest.raises(ShapeError):
+        project_prediction(np.zeros(cfg.pn_out_dim + 1), w)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -95,16 +99,20 @@ def test_batched_joint_rows_equal_single_vector_joint(variant, dtype):
         w = init_weights(cfg, seed=trial, dtype=dtype)
         f_t = rng.standard_normal(cfg.d_enc).astype(dtype)
         G = rng.standard_normal((int(rng.integers(1, 10)), cfg.pn_out_dim)).astype(dtype)
-        batch = joint_forward(f_t, G, w, cfg)
+        batch = joint(f_t, G, w)
         assert batch.shape == (G.shape[0], cfg.vocab_size + 1) and batch.dtype == dtype
         for g, row in zip(G, batch):
-            np.testing.assert_array_equal(row, joint_forward(f_t, g, w, cfg))
+            np.testing.assert_array_equal(row, joint(f_t, g, w))
 
 
 def test_batched_joint_dim_mismatch():
     cfg = tiny_config()
     w = tiny_model(cfg)
     with pytest.raises(ShapeError):
-        joint_hidden(np.zeros(cfg.d_enc), np.zeros((3, cfg.pn_out_dim + 1)), w)
+        project_prediction(np.zeros((3, cfg.pn_out_dim + 1)), w)
     with pytest.raises(ShapeError):
-        joint_hidden(np.zeros(cfg.d_enc), np.zeros((2, 3, cfg.pn_out_dim)), w)
+        project_prediction(np.zeros((2, 3, cfg.pn_out_dim)), w)
+    with pytest.raises(ShapeError):
+        joint_forward(np.zeros(cfg.d_h), np.zeros((3, cfg.d_h + 1)), w)
+    with pytest.raises(ShapeError):
+        joint_forward(np.zeros((2, 3, cfg.d_h)), np.zeros(cfg.d_h), w)
