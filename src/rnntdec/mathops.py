@@ -67,12 +67,11 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return np.subtract(shifted, lse, out=shifted if shifted.dtype == lse.dtype else None)
 
 
-def logaddexp(a: float, b: float) -> float:
-    """Two-operand log-domain add of scalars, for beam search's merge of
-    identical label sequences."""
-    if a == -np.inf:
-        return b
-    if b == -np.inf:
-        return a
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi + np.log1p(np.exp(lo - hi))
+def logaddexp(a, b):
+    """log(exp(a) + exp(b)) of two scalars or arrays, elementwise, as
+    ``hi + log1p(exp(lo - hi))``: beam search's merge of equal label
+    sequences.  A -inf operand gives the other one as it is; NaN gives NaN."""
+    hi, lo = np.maximum(a, b), np.minimum(a, b)
+    with np.errstate(invalid="ignore"):  # -inf - -inf and inf - inf, replaced or NaN anyway
+        out = hi + np.log1p(np.exp(lo - hi))
+    return np.where(lo == -np.inf, hi, out)[()]

@@ -196,10 +196,10 @@ class ScoredPairs:
     """Rebinds ``prediction_forward``, ``project_prediction`` and
     ``joint_forward`` in one module to record which (frame index, history
     window) pairs reach the joint.  Both the naive search and beam search
-    call ``joint_forward(f_t @ enc_w, project_prediction(g))``, so the frame
-    is recovered from its projection and the window through the projection
-    of its prediction output.  Every distinct window must have given
-    distinct output bytes."""
+    call ``joint_forward(f_t @ enc_w, project_prediction(g))``, beam search
+    with one ``f_t @ enc_w`` row per window, so the frame is recovered from
+    its projection and the window through the projection of its prediction
+    output.  Every distinct window must have given distinct output bytes."""
 
     def __init__(self, monkeypatch, module, frames, weights):
         self.frames = {(f @ weights.enc_w).tobytes(): t for t, f in enumerate(frames)}
@@ -223,7 +223,7 @@ class ScoredPairs:
             return out
 
         def joint(enc, pred, *args, **kwargs):
-            t = self.frames[enc.tobytes()]
+            (t,) = {self.frames[e.tobytes()] for e in np.atleast_2d(enc)}  # one frame per call
             self.call_frames.append(t)
             self.pairs += [(t, self.window_of[p.tobytes()]) for p in np.atleast_2d(pred)]
             return jf(enc, pred, *args, **kwargs)
@@ -243,23 +243,23 @@ def test_each_beam_round_makes_at_most_one_prediction_call(key, monkeypatch):
     # a round ends by choosing the next frontier, and a frame by pruning its
     # beam, either after its last round or once the exit rule holds ("exit")
     log = CallLog(monkeypatch, (rnntdec.decoding, "prediction_forward"),
-                  (rnntdec.decoding, "joint_forward"), (rnntdec.decoding, "_best_extensions"),
-                  (rnntdec.decoding, "_top_b"))
+                  (rnntdec.decoding, "joint_forward"), (rnntdec.decoding, "_next_frontier"),
+                  (rnntdec.decoding, "_beams"))
     settled = rnntdec.decoding._frame_settled
 
     def settled_logged(*args):
         done = settled(*args)
-        if done:
+        if any(done):
             log.events.append("exit")
         return done
 
     monkeypatch.setattr(rnntdec.decoding, "_frame_settled", settled_logged)
     beam_decode(frames, w, cfg, 3)
-    assert log.events.count("_top_b") == len(frames) and log.events[-1] == "_top_b"
+    assert log.events.count("_beams") == len(frames) and log.events[-1] == "_beams"
     joint_frames = iter(scored.call_frames)
-    frame_events = " ".join(log.events).split("_top_b")[:-1]
+    frame_events = " ".join(log.events).split("_beams")[:-1]
     for t, events in enumerate(frame_events):
-        rounds = events.split("_best_extensions")
+        rounds = events.split("_next_frontier")
         exited = rounds[-1].split() == ["exit"]
         # a frame runs 1 to cap + 1 rounds, and all of them unless it exits
         assert 1 <= len(rounds) - exited <= cfg.max_symbols_per_frame + 1

@@ -341,18 +341,35 @@ class TestFrameMemo:
 
 def settled_beams(monkeypatch):
     """Wraps ``_frame_settled`` in ``beam_decode``'s module; returns the list
-    that receives the beam (``_top_b``) of every frame it ends early."""
+    that receives the beam (``_beams``), as {labels: value}, of every frame
+    it ends early."""
     ended = []
     settled = rnntdec.decoding._frame_settled
 
-    def spy(next_beams, frontier, beam_width):
-        done = settled(next_beams, frontier, beam_width)
-        if done:
-            ended.append(rnntdec.decoding._top_b(next_beams, beam_width))
+    def spy(trie, nbs, node, lp, width):
+        done = settled(trie, nbs, node, lp, width)
+        for nb in itertools.compress(nbs, done):
+            beam = zip(*rnntdec.decoding._beams(trie, [nb], width)[0])
+            ended.append({trie.labels(x): v for x, v in beam if x >= 0})
         return done
 
     monkeypatch.setattr(rnntdec.decoding, "_frame_settled", spy)
     return ended
+
+
+def frame_settled(beams, frontier, width):
+    """``_frame_settled`` of one utterance given as label tuples: next beam
+    ``beams`` {labels: value}, frontier [(labels, lp, window code)]."""
+    trie = rnntdec.decoding._Trie(1, tiny_config(vocab_size=2))
+
+    def node(labels):
+        x = 0
+        for v in labels:
+            x = trie.child_of(x, v)
+        return x
+
+    nb = {node(labels): value for labels, value in beams.items()}
+    return _frame_settled(trie, [nb], [[node(f[0]) for f in frontier]], [[f[1] for f in frontier]], width)[0]
 
 
 class TestFrameExit:
@@ -396,26 +413,26 @@ class TestFrameExit:
         # B = 2, so theta is -2.0, and key (0,) can still receive blanks from
         # descendants of the frontier hypothesis (0,) ...
         beams = {(): -1e-3, (0,): -2.0, (1,): -40.0}
-        assert not _frame_settled(beams, [((0,), -10.0, 0)], 2)  # ... which move its bits
-        assert _frame_settled(beams, [((0,), -100.0, 0)], 2)  # ... which leave them as they are
-        assert _frame_settled(beams, [((1,), -10.0, 0)], 2)  # (1,) reaches only keys far below theta
-        assert not _frame_settled(beams, [((1,), -2.5, 0)], 2)  # a new key could still enter
-        assert not _frame_settled(beams, [((1,), -100.0, 0)], 4)  # fewer keys than B
+        assert not frame_settled(beams, [((0,), -10.0, 0)], 2)  # ... which move its bits
+        assert frame_settled(beams, [((0,), -100.0, 0)], 2)  # ... which leave them as they are
+        assert frame_settled(beams, [((1,), -10.0, 0)], 2)  # (1,) reaches only keys far below theta
+        assert not frame_settled(beams, [((1,), -2.5, 0)], 2)  # a new key could still enter
+        assert not frame_settled(beams, [((1,), -100.0, 0)], 4)  # fewer keys than B
 
     def test_signed_zero_key_must_keep_its_sign(self):
         # merging a probability that rounds to nothing keeps +0.0 as it is
         # but turns -0.0 into +0.0, although the two compare equal
         frontier = [((0,), -800.0, 0)]
-        assert _frame_settled({(): -50.0, (0,): 0.0}, frontier, 1)
-        assert not _frame_settled({(): -50.0, (0,): -0.0}, frontier, 1)
+        assert frame_settled({(): -50.0, (0,): 0.0}, frontier, 1)
+        assert not frame_settled({(): -50.0, (0,): -0.0}, frontier, 1)
 
     def test_nan_merged_value_keeps_the_frame_going(self):
         frontier = [((0, 0, 0), -90.0, 0), ((1, 0, 0), -95.0, 0)]
         beams = {(): -1e-3, (0,): -30.0, (1,): -31.0, (0, 0): -60.0}
-        assert _frame_settled(beams, frontier, 2)
+        assert frame_settled(beams, frontier, 2)
         for key in [*beams, (1, 1)]:  # NaN at any rank, or on a key of its own
-            assert not _frame_settled({**beams, key: np.nan}, frontier, 2)
-        assert not _frame_settled(beams, frontier + [((1, 1, 1), np.nan, 0)], 2)
+            assert not frame_settled({**beams, key: np.nan}, frontier, 2)
+        assert not frame_settled(beams, frontier + [((1, 1, 1), np.nan, 0)], 2)
 
 
 # (weights dtype, frames dtype): f8, f4, and f8 frames on f4 weights
@@ -471,6 +488,28 @@ class TestLockstep:
 
         check()
         assert sum(fired) >= len(fired) // 4
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_exact_tie_utterance_among_peaked_ones(self, dtype):
+        # with no prediction projection, joint bias or output bias, an
+        # all-zero frame scores every label and blank log(1 / (V+1)), so the
+        # zero utterance meets exact ties at every top-B cut, while the
+        # scaled-up output rows make the other utterances' rows peaked
+        for variant in VARIANTS:
+            cfg = tiny_config(variant, vocab_size=3, max_symbols_per_frame=2)
+            w = init_weights(cfg, seed=3, dtype=dtype)
+            for t in (w.pred_w, w.joint_b, w.out_b):
+                t[...] = 0.0
+            w.out_w *= 12.0
+            w.blank_w *= 12.0
+            rng = SeededRng(VARIANTS.index(variant))
+            frames_list = [(3.0 * rng.normal((T, cfg.d_enc))).astype(dtype) for T in (4, 1)]
+            frames_list.insert(1, np.zeros((3, cfg.d_enc), dtype=dtype))
+            frames_list.append((3.0 * rng.normal((5, cfg.d_enc))).astype(dtype))
+            logp = log_softmax(joint_forward(np.zeros(cfg.d_h, dtype), np.zeros(cfg.d_h, dtype), w))
+            assert len(set(logp.tolist())) == 1
+            for width in (1, 2, 4, 5):
+                self.check_batch(frames_list, w, cfg, width)
 
     @pytest.mark.parametrize("mode", sorted(DTYPE_MODES))
     def test_zero_and_one_frame_utterances_in_a_batch(self, mode):
